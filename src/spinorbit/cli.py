@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
                            default=deutsch.PBS,
                            help="verdict from the polarization splitter or the OAM sorter")
     p_deutsch.add_argument("--lmax", type=int, default=deutsch.DEFAULT_L_MAX,
-                           help="OAM truncation (minimum 4)")
+                           help="OAM truncation (4 to 1000)")
     p_deutsch.add_argument("--json", action="store_true", help="emit a JSON report")
     p_deutsch.add_argument("--verify", action="store_true",
                            help="also assert report consistency; exit 3 on failure")
@@ -152,6 +152,12 @@ def cmd_deutsch(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.shots is not None and args.shots < 0:
+        print(f"spinorbit deutsch: --shots must be >= 0, got {args.shots}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"spinorbit deutsch: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     oracle_ids = ORACLE_IDS if args.oracle == "all" else (args.oracle,)
     reports = [
         deutsch.run(
@@ -207,12 +213,10 @@ def _corpus_dir(flag: str | None) -> Path:
 
 
 def _resolve_bench_file(args) -> Path:
-    path = Path(args.file)
-    if path.exists():
-        return path
-    candidate = _corpus_dir(args.corpus) / args.file
-    if candidate.exists():
-        return candidate
+    # only regular files: a directory of that name is not a bench
+    for path in (Path(args.file), _corpus_dir(args.corpus) / args.file):
+        if path.is_file():
+            return path
     raise FileNotFoundError(f"bench file not found: {args.file}")
 
 

@@ -110,10 +110,17 @@ def measure_oam_superposition(state: PhotonState) -> OamSorterProbs:
     return OamSorterProbs(float(p_plus), float(p_minus), residual)
 
 
+def _check_threshold(threshold: float) -> None:
+    # below 0.5 both ports could pass; at 1 no port ever can
+    if not 0.5 <= threshold < 1.0:
+        raise ValueError(f"threshold must lie in [0.5, 1), got {threshold!r}")
+
+
 def classify(
     p_balanced_port: float, p_constant_port: float, threshold: float = DEFAULT_THRESHOLD
 ) -> str:
     """Verdict from the two detector probabilities (conditioned on survival)."""
+    _check_threshold(threshold)
     if p_constant_port > threshold:
         return CONSTANT
     if p_balanced_port > threshold:
@@ -222,6 +229,7 @@ def run(
         raise ValueError(f"unknown oracle {oracle_id!r}; expected one of {ORACLE_IDS}")
     if measurement not in MEASUREMENTS:
         raise ValueError(f"measurement must be one of {MEASUREMENTS}")
+    _check_threshold(threshold)
     space = make_space(l_max)
     bench = build_oracle(space, oracle_id, eta=eta, crosstalk=crosstalk)
     output = apply_chain(bench.elements, prepare_input(space))

@@ -1,5 +1,11 @@
 """Factories for the optical elements that make up the benches.
 
+Every factory returns a structured `ElementOp` (see `state.ElementOp`): the
+q-plate and the Dove prism are pure index permutations of the mode vector,
+the waveplates are one 2x2 polarization block per OAM value, and the lens is
+the identity permutation.  None of them fills a dense dim x dim matrix; the
+`matrix` property builds that view only when a caller reads it.
+
 Conventions (pinned so the composed gates come out with +1 row phases):
 
 * A tuned q-plate maps |L, l> -> |R, l+2q> and |R, l> -> |L, l-2q> with
@@ -29,10 +35,8 @@ import numpy as np
 
 from .errors import TruncationError
 from .state import (
-    LEFT,
     LINEAR_TO_CIRCULAR,
     LOSSY,
-    RIGHT,
     UNITARY,
     ElementOp,
     ModeSpace,
@@ -90,6 +94,8 @@ class WaveplateSpec:
     crosstalk: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         if self.aperture not in (APERTURE_FULL, APERTURE_L0):
             raise ValueError(
                 f"aperture must be '{APERTURE_FULL}' or '{APERTURE_L0}', got "
@@ -116,7 +122,7 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
     """Permutation |L,l> -> |R,l+2q>, |R,l> -> |L,l-2q> with a survival factor eta.
 
     Basis states within 2|q| of the truncation edge cannot be shifted; they are
-    kept as identity columns but excluded from the input mask, so the operator
+    kept as fixed points but excluded from the input mask, so the operator
     stays unitary while apply() rejects states that occupy them.
     """
     shift = spec.oam_shift
@@ -125,30 +131,24 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
             f"q-plate with q={spec.q} shifts OAM by {shift:+d}, which no state "
             f"in |l| <= {space.l_max} survives"
         )
-    dim = space.dimension
-    matrix = np.zeros((dim, dim), dtype=complex)
-    mask = np.zeros(dim, dtype=bool)
-    for l in space.oam_values():
-        src = space.index(LEFT, l)
-        if space.contains(l + shift):
-            matrix[space.index(RIGHT, l + shift), src] = 1.0
-            mask[src] = True
-        else:
-            matrix[src, src] = 1.0
-        src = space.index(RIGHT, l)
-        if space.contains(l - shift):
-            matrix[space.index(LEFT, l - shift), src] = 1.0
-            mask[src] = True
-        else:
-            matrix[src, src] = 1.0
+    n = space.n_oam
+    k = np.arange(n)
+    # |L, k> receives |R, k+shift> and |R, k> receives |L, k-shift>; a mode
+    # whose partner lies outside the truncation is a fixed point instead
+    from_r, from_l = k + shift, k - shift
+    r_in = (0 <= from_r) & (from_r < n)
+    l_in = (0 <= from_l) & (from_l < n)
+    source = np.concatenate((np.where(r_in, n + from_r, k), np.where(l_in, from_l, n + k)))
+    # |L, k> is shifted iff its image |R, k+shift> exists, and likewise for R
+    mask = np.concatenate((r_in, l_in))
     kind = LOSSY if spec.eta < 1.0 else UNITARY
     return ElementOp(
         space,
-        matrix,
         kind=kind,
         survival_factor=spec.eta if spec.eta < 1.0 else 1.0,
         label=label or f"qplate(q={spec.q})",
         input_mask=None if mask.all() else mask,
+        source=source,
     )
 
 
@@ -167,45 +167,32 @@ def _retarder_block_circular(crosstalk: float) -> np.ndarray:
     )
 
 
-def _lift_blocks(space: ModeSpace, block_for_l) -> np.ndarray:
-    """Assemble a polarization-only operator from per-l 2x2 circular blocks."""
-    matrix = np.zeros((space.dimension, space.dimension), dtype=complex)
-    for l in space.oam_values():
-        block = block_for_l(l)
-        i_l, i_r = space.index(LEFT, l), space.index(RIGHT, l)
-        matrix[i_l, i_l] = block[0, 0]
-        matrix[i_l, i_r] = block[0, 1]
-        matrix[i_r, i_l] = block[1, 0]
-        matrix[i_r, i_r] = block[1, 1]
-    return matrix
-
-
 def hwp(space: ModeSpace, spec: WaveplateSpec, label: str | None = None) -> ElementOp:
     """Half-wave plate, full-aperture or acting on the l=0 component only."""
     active = _hwp_block_circular(spec.theta)
     if spec.aperture == APERTURE_FULL:
-        matrix = _lift_blocks(space, lambda l: active)
+        blocks = np.broadcast_to(active, (space.n_oam, 2, 2))
     else:
         residual = _retarder_block_circular(spec.crosstalk)
-        matrix = _lift_blocks(space, lambda l: active if l == 0 else residual)
+        is_l0 = np.arange(space.n_oam) == space.l_max
+        blocks = np.where(is_l0[:, None, None], active, residual)
     name = label or (
         f"hwp(theta={spec.theta:g})"
         if spec.aperture == APERTURE_FULL
         else f"hwp(theta={spec.theta:g}, l0_only, crosstalk={spec.crosstalk:g})"
     )
-    return ElementOp(space, matrix, label=name)
+    return ElementOp(
+        space, label=name, source=np.arange(space.dimension), blocks=blocks
+    )
 
 
 def dove_prism(
     space: ModeSpace, spec: DovePrismSpec = DovePrismSpec(), label: str | None = None
 ) -> ElementOp:
     """OAM inversion |pol, l> -> |pol, -l>; polarization untouched."""
-    dim = space.dimension
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for pol in (LEFT, RIGHT):
-        for l in space.oam_values():
-            matrix[space.index(pol, -l), space.index(pol, l)] = 1.0
-    return ElementOp(space, matrix, label=label or "dove")
+    reversed_k = np.arange(space.n_oam)[::-1]
+    source = np.concatenate((reversed_k, space.n_oam + reversed_k))
+    return ElementOp(space, label=label or "dove", source=source)
 
 
 def lens(space: ModeSpace, label: str = "lens") -> ElementOp:
@@ -260,6 +247,6 @@ def polarizer(space: ModeSpace, axis: str) -> Polarizer:
         raise ValueError(f"polarizer axis must be 'H' or 'V', got {axis!r}")
     column = LINEAR_TO_CIRCULAR[:, 0 if axis == AXIS_H else 1]
     block = np.outer(column, column.conj())
-    matrix = _lift_blocks(space, lambda l: block)
+    matrix = np.kron(block, np.eye(space.n_oam))
     matrix.setflags(write=False)
     return Polarizer(space, axis, matrix)

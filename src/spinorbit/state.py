@@ -24,7 +24,7 @@ survival factor < 1 instead of attenuating individual modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +38,9 @@ POLARIZATIONS = (LEFT, RIGHT)
 #: smallest truncation that keeps the composite CNOT bench representable
 #: (its intermediate states reach OAM +/-4)
 MIN_L_MAX = 4
+#: largest truncation: dim is then 4002, and the biggest dense matrix that
+#: `compose` or `ElementOp.matrix` can build takes 16 * 4002**2 B, about 256 MB
+MAX_L_MAX = 1000
 
 UNITARITY_TOL = 1e-12
 #: amplitude magnitude above which a guarded (edge-of-truncation) mode counts
@@ -73,6 +76,10 @@ class ModeSpace:
                 f"l_max={self.l_max} is below the minimum {MIN_L_MAX}; the "
                 f"composite CNOT bench reaches intermediate OAM +/-4"
             )
+        if self.l_max > MAX_L_MAX:
+            raise TruncationError(
+                f"l_max={self.l_max} is above the maximum {MAX_L_MAX}"
+            )
 
     @property
     def n_oam(self) -> int:
@@ -105,7 +112,7 @@ class ModeSpace:
 
 
 def make_space(l_max: int) -> ModeSpace:
-    """Build the truncated mode space; rejects l_max < 4."""
+    """Build the truncated mode space; rejects l_max outside [4, 1000]."""
     return ModeSpace(l_max)
 
 
@@ -129,7 +136,8 @@ class PhotonState:
                 f"({self.space.dimension},)"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"amplitudes are not normalized (norm={norm!r})")
         if not 0.0 <= self.survival <= 1.0:
             raise ValueError(f"survival must lie in [0, 1], got {self.survival!r}")
@@ -157,52 +165,116 @@ UNITARY = "unitary"
 LOSSY = "lossy"
 
 
-@dataclass(frozen=True, eq=False)
 class ElementOp:
-    """Dense operator on the mode space, tagged unitary or lossy.
+    """Operator on the mode space, tagged unitary or lossy, in one of two forms.
+
+    * Dense, ``ElementOp(space, matrix)``: a dim x dim matrix, checked for
+      U+U = I in O(dim^3).  `compose` returns this form.
+    * Structured, ``ElementOp(space, source=..., blocks=...)``: U = B P.  The
+      gather P is out[i] = in[source[i]] with `source` a permutation of
+      range(dim).  B, when `blocks` is given, applies the 2x2 circular-basis
+      block ``blocks[k]`` to the (L, R) pair of OAM index l = k - l_max, so
+      `blocks` has shape (2*l_max + 1, 2, 2).  Each block is checked unitary,
+      in O(n_oam).  Every element factory builds this form, and `matrix` is
+      then a read-only dense view built on first use.
 
     The matrix is unitary in both cases; a lossy element additionally carries
     survival_factor < 1.  `input_mask`, when present, marks the basis states
     the element is defined on: applying it to a state with amplitude on an
     unmasked (edge-of-truncation) mode raises TruncationError instead of
-    silently corrupting the result.
+    silently corrupting the result.  Instances are immutable.
     """
 
-    space: ModeSpace
-    matrix: np.ndarray
-    kind: str = UNITARY
-    survival_factor: float = 1.0
-    label: str = ""
-    input_mask: np.ndarray | None = field(default=None, compare=False)
+    def __init__(
+        self,
+        space: ModeSpace,
+        matrix: np.ndarray | None = None,
+        kind: str = UNITARY,
+        survival_factor: float = 1.0,
+        label: str = "",
+        input_mask: np.ndarray | None = None,
+        *,
+        source: np.ndarray | None = None,
+        blocks: np.ndarray | None = None,
+    ) -> None:
+        init = object.__setattr__
+        init(self, "space", space)
+        init(self, "kind", kind)
+        init(self, "survival_factor", survival_factor)
+        init(self, "label", label)
+        dim = space.dimension
+        if (matrix is None) == (source is None):
+            raise ValueError("give either a dense matrix or a gather source")
+        if matrix is not None:
+            if blocks is not None:
+                raise ValueError("blocks belong to the structured form, not to a matrix")
+            mat = np.array(matrix, dtype=complex)
+            if mat.shape != (dim, dim):
+                raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
+            deviation = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
+            self._require_unitary(deviation)
+            init(self, "source", None)
+            init(self, "blocks", None)
+            init(self, "_matrix", _frozen(mat))
+        else:
+            src = np.array(source)
+            if src.shape != (dim,) or src.dtype.kind not in "iu" or not np.array_equal(
+                np.sort(src), np.arange(dim)
+            ):
+                raise ValueError(
+                    f"matrix for {label or 'element'} is not unitary (source is "
+                    f"not a permutation of range({dim}))"
+                )
+            init(self, "source", _frozen(src.astype(np.intp, copy=False)))
+            if blocks is not None:
+                blk = np.array(blocks, dtype=complex)
+                if blk.shape != (space.n_oam, 2, 2):
+                    raise ValueError(
+                        f"blocks have shape {blk.shape}, expected ({space.n_oam}, 2, 2)"
+                    )
+                gram = np.matmul(blk.conj().transpose(0, 2, 1), blk)
+                self._require_unitary(np.abs(gram - np.eye(2)).max())
+                blk = _frozen(blk)
+            else:
+                blk = None
+            init(self, "blocks", blk)
+            init(self, "_matrix", None)
+        if kind == UNITARY:
+            if survival_factor != 1.0:
+                raise ValueError("unitary elements must have survival_factor 1")
+        elif kind == LOSSY:
+            if not 0.0 < survival_factor < 1.0:
+                raise ValueError(
+                    f"lossy elements need survival_factor in (0, 1), got "
+                    f"{survival_factor!r}"
+                )
+        else:
+            raise ValueError(f"kind must be 'unitary' or 'lossy', got {kind!r}")
+        if input_mask is not None:
+            mask = np.array(input_mask, dtype=bool)
+            if mask.shape != (dim,):
+                raise ValueError("input_mask length must equal the dimension")
+            input_mask = _frozen(mask)
+        init(self, "input_mask", input_mask)
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        dim = self.space.dimension
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        deviation = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
-        if deviation > UNITARITY_TOL:
+    def _require_unitary(self, deviation) -> None:
+        # written so that a NaN deviation fails too
+        if not deviation <= UNITARITY_TOL:
             raise ValueError(
                 f"matrix for {self.label or 'element'} is not unitary "
                 f"(max |U+U - I| = {deviation:.3e})"
             )
-        if self.kind == UNITARY:
-            if self.survival_factor != 1.0:
-                raise ValueError("unitary elements must have survival_factor 1")
-        elif self.kind == LOSSY:
-            if not 0.0 < self.survival_factor < 1.0:
-                raise ValueError(
-                    f"lossy elements need survival_factor in (0, 1), got "
-                    f"{self.survival_factor!r}"
-                )
-        else:
-            raise ValueError(f"kind must be 'unitary' or 'lossy', got {self.kind!r}")
-        object.__setattr__(self, "matrix", _frozen(mat))
-        if self.input_mask is not None:
-            mask = np.array(self.input_mask, dtype=bool)
-            if mask.shape != (dim,):
-                raise ValueError("input_mask length must equal the dimension")
-            object.__setattr__(self, "input_mask", _frozen(mask))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ElementOp is immutable; cannot set {name!r}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense dim x dim matrix (read-only; built on first use for structured ops)."""
+        if self._matrix is None:
+            dense = _act(self, np.eye(self.space.dimension, dtype=complex))
+            object.__setattr__(self, "_matrix", _frozen(dense))
+        return self._matrix
 
     @property
     def is_lossy(self) -> bool:
@@ -210,7 +282,23 @@ class ElementOp:
 
 
 def identity_op(space: ModeSpace, label: str = "identity") -> ElementOp:
-    return ElementOp(space, np.eye(space.dimension, dtype=complex), label=label)
+    return ElementOp(space, source=np.arange(space.dimension), label=label)
+
+
+def _act(op: ElementOp, array: np.ndarray) -> np.ndarray:
+    """U @ array for a vector, or a matrix whose first axis is the mode index.
+
+    A structured op gathers, then mixes each (L, R) pair with its 2x2 block:
+    the mode axis reshaped to (2, n_oam) is (pol, l + l_max), the README order.
+    """
+    if op.source is None:
+        return op.matrix @ array
+    out = array[op.source]
+    if op.blocks is not None:
+        rest = array.shape[1:]
+        pairs = out.reshape(2, op.space.n_oam, *rest)
+        out = np.einsum("kpq,qk...->pk...", op.blocks, pairs).reshape(array.shape)
+    return out
 
 
 def _check_guard(op: ElementOp, amplitudes: np.ndarray) -> None:
@@ -238,7 +326,7 @@ def apply(op: ElementOp, state: PhotonState) -> PhotonState:
             f"{state.space.dimension}"
         )
     _check_guard(op, state.amplitudes)
-    amps = op.matrix @ state.amplitudes
+    amps = _act(op, state.amplitudes)
     amps = amps / np.linalg.norm(amps)
     return PhotonState(state.space, amps, survival=state.survival * op.survival_factor)
 
@@ -259,9 +347,12 @@ def fidelity_up_to_phase(a: PhotonState, b: PhotonState) -> float:
 def compose(ops: Sequence[ElementOp]) -> ElementOp:
     """Compose elements in application order (last element's matrix leftmost).
 
-    The composite survival factor is the product of the factors, the kind is
-    lossy iff any input is lossy, and the input mask excludes every basis
-    state whose trajectory would touch a guarded mode of any stage.
+    The product is built by applying each element to the columns of the
+    running matrix, so a structured element costs O(dim^2), not a matmul,
+    and the result is a dense ElementOp.  The composite survival factor is
+    the product of the factors, the kind is lossy iff any input is lossy, and
+    the input mask excludes every basis state whose trajectory would touch a
+    guarded mode of any stage.
     """
     if not ops:
         raise ValueError("cannot compose an empty element list")
@@ -277,7 +368,7 @@ def compose(ops: Sequence[ElementOp]) -> ElementOp:
             blocked = ~op.input_mask
             leakage = np.abs(total[blocked, :]).sum(axis=0)
             mask &= leakage <= GUARD_TOL
-        total = op.matrix @ total
+        total = _act(op, total)
     survival = 1.0
     for op in ops:
         survival *= op.survival_factor

@@ -91,6 +91,39 @@ def test_eta_out_of_range_exits_1(capsys):
     assert "eta" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("deutsch", "--shots", "-5"), "--shots"),
+        (("deutsch", "--seed", "-1", "--shots", "10"), "--seed"),
+    ],
+)
+def test_negative_shots_and_seed_exit_1(capsys, argv, flag):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert flag in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_bench_directory_exits_1(tmp_path, capsys, command):
+    code, _, err = run_cli(capsys, "bench", command, str(tmp_path))
+    assert code == 1
+    assert "not found" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_lmax_above_cap_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "deutsch", "--lmax", "100000")
+    assert code == 2
+    assert "l_max" in err and len(err.splitlines()) == 1
+    huge = tmp_path / "huge.bench"
+    huge.write_text("space lmax=100000\nqplate q=1\nmeasure pbs\n")
+    code, _, err = run_cli(capsys, "bench", "run", str(huge))
+    assert code == 2
+    assert "l_max" in err and len(err.splitlines()) == 1
+
+
 def test_truncation_exits_2(capsys):
     code, _, err = run_cli(capsys, "deutsch", "--lmax", "3")
     assert code == 2

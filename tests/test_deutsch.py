@@ -171,6 +171,11 @@ def test_classify_thresholds():
     assert classify(0.995, 0.005) == BALANCED
     assert classify(0.985, 0.015) == INCONCLUSIVE
     assert classify(0.985, 0.015, threshold=0.98) == BALANCED
+    for threshold in (0.2, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            classify(0.5, 0.5, threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            run("identity", threshold=threshold)
 
 
 def test_shot_tallies_are_seed_reproducible():

@@ -188,6 +188,12 @@ def test_waveplate_spec_validation():
         WaveplateSpec(0.0, APERTURE_L0, crosstalk=1.5)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_hwp_rejects_non_finite_theta(space, theta):
+    with pytest.raises(ValueError, match="theta"):
+        hwp(space, WaveplateSpec(theta))
+
+
 # --- Dove prism and lens -------------------------------------------------------
 
 

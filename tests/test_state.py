@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from spinorbit.state import (
     H_CIRCULAR,
     LEFT,
     LINEAR_TO_CIRCULAR,
+    MAX_L_MAX,
     PhotonState,
     RIGHT,
     V_CIRCULAR,
@@ -33,6 +36,20 @@ def test_make_space_rejects_insufficient_truncation(l_max):
     # first q-plate to |R,+4| which needs l_max >= 4
     with pytest.raises(TruncationError):
         make_space(l_max)
+
+
+def test_make_space_rejects_l_max_above_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="l_max"):
+            make_space(100000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert make_space(MAX_L_MAX).dimension == 4002
+    with pytest.raises(TruncationError, match="l_max"):
+        make_space(MAX_L_MAX + 1)
 
 
 def test_make_space_rejects_non_integer():
@@ -190,9 +207,59 @@ def test_photon_state_requires_normalized_amplitudes(space):
         PhotonState(space, amps)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_photon_state_rejects_non_finite_amplitudes(space, value):
+    amps = np.zeros(space.dimension, dtype=complex)
+    amps[0] = 1.0
+    amps[1] = value
+    with pytest.raises(ValueError, match="not normalized"):
+        PhotonState(space, amps)
+
+
 def test_element_op_rejects_non_unitary(space):
     with pytest.raises(ValueError, match="not unitary"):
         ElementOp(space, 0.5 * np.eye(space.dimension, dtype=complex))
+
+
+def test_element_op_rejects_nan_matrix(space):
+    with pytest.raises(ValueError, match="not unitary"):
+        ElementOp(space, np.full((space.dimension, space.dimension), np.nan))
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan])
+def test_element_op_rejects_non_unitary_block(space, value):
+    blocks = np.tile(np.eye(2, dtype=complex), (space.n_oam, 1, 1))
+    blocks[3, 1, 1] = value
+    with pytest.raises(ValueError, match="not unitary"):
+        ElementOp(space, source=np.arange(space.dimension), blocks=blocks)
+
+
+@pytest.mark.parametrize("source", [[0] * 26, list(range(1, 27)), [0.0] * 26])
+def test_element_op_rejects_source_that_is_not_a_permutation(space, source):
+    with pytest.raises(ValueError, match="not unitary"):
+        ElementOp(space, source=source)
+
+
+def test_element_op_needs_exactly_one_form(space):
+    eye = np.eye(space.dimension, dtype=complex)
+    with pytest.raises(ValueError):
+        ElementOp(space)
+    with pytest.raises(ValueError):
+        ElementOp(space, eye, source=np.arange(space.dimension))
+
+
+def test_structured_op_matches_its_dense_view(space):
+    # gather with a spin-flip block on every l: U = B P, checked column by column
+    rng = np.random.default_rng(5)
+    source = rng.permutation(space.dimension)
+    blocks = np.tile(np.array([[0, 1j], [1j, 0]]), (space.n_oam, 1, 1))
+    op = ElementOp(space, source=source, blocks=blocks)
+    amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    state = PhotonState(space, amps / np.linalg.norm(amps))
+    out = apply(op, state)
+    assert np.abs(out.amplitudes - op.matrix @ state.amplitudes).max() <= 1e-15
+    with pytest.raises(AttributeError):
+        op.label = "renamed"
 
 
 def test_element_op_kind_constraints(space):
