@@ -212,12 +212,31 @@ def _corpus_dir(flag: str | None) -> Path:
     return Path(str(resources.files("spinorbit") / "benches"))
 
 
-def _resolve_bench_file(args) -> Path:
+class _UnreadableBench(Exception):
+    pass
+
+
+def _read_bench_file(args) -> tuple[Path, str]:
+    """The bench file's path (as given, else in the corpus) and its UTF-8 text.
+
+    Raises _UnreadableBench with a one-line message naming the file.
+    """
     # only regular files: a directory of that name is not a bench
     for path in (Path(args.file), _corpus_dir(args.corpus) / args.file):
         if path.is_file():
-            return path
-    raise FileNotFoundError(f"bench file not found: {args.file}")
+            break
+    else:
+        raise _UnreadableBench(f"bench file not found: {args.file}")
+    try:
+        return path, path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UnreadableBench(
+            f"bench file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    except OSError as exc:
+        raise _UnreadableBench(
+            f"cannot read bench file {path}: {exc.strerror or exc}"
+        ) from None
 
 
 def _print_parse_errors(errors) -> None:
@@ -242,11 +261,11 @@ def _parse_input_ket(spec: str, space) -> PhotonState:
 
 def cmd_bench_run(args) -> int:
     try:
-        path = _resolve_bench_file(args)
-    except FileNotFoundError as exc:
+        path, text = _read_bench_file(args)
+    except _UnreadableBench as exc:
         print(f"spinorbit bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    bench, errors = dsl.parse_with_errors(path.read_text(encoding="utf-8"))
+    bench, errors = dsl.parse_with_errors(text)
     if errors:
         _print_parse_errors(errors)
         return EXIT_USAGE
@@ -315,11 +334,11 @@ def cmd_bench_run(args) -> int:
 
 def cmd_bench_check(args) -> int:
     try:
-        path = _resolve_bench_file(args)
-    except FileNotFoundError as exc:
+        path, text = _read_bench_file(args)
+    except _UnreadableBench as exc:
         print(f"spinorbit bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    bench, errors = dsl.parse_with_errors(path.read_text(encoding="utf-8"))
+    bench, errors = dsl.parse_with_errors(text)
     if errors:
         if args.json:
             print(json.dumps({

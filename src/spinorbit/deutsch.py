@@ -76,18 +76,31 @@ def expected_output(space: ModeSpace, oracle_id: str) -> PhotonState:
     return PhotonState(space, sign * base)
 
 
+#: <H| and <V| as (1, 2) rows, stacked for one batched matmul over OAM
+_PBS_BRAS = np.stack((H_CIRCULAR, V_CIRCULAR)).conj().reshape(2, 1, 1, 2)
+
+
 def measure_pbs(state: PhotonState) -> tuple[float, float]:
-    """(p_D1, p_D2): squared norms of the H and V projections across all OAM."""
+    """(p_D1, p_D2): squared norms of the H and V projections across all OAM.
+
+    All projections <H|pair_l>, <V|pair_l> come from one batched matmul over
+    the (L, R) pair of each l.  Each step keeps the rounding of a per-l
+    ``abs(np.vdot(bra, pair)) ** 2`` loop, so the result is bit-identical to
+    it: the (1, 2) @ (2, 1) products, `np.hypot` for the modulus (`np.abs` on
+    an array rounds differently), a Python float square, and sequential
+    summation in l order.
+    """
+    n_oam = state.space.n_oam
+    pairs = state.amplitudes.reshape(2, n_oam).T.reshape(n_oam, 2, 1)
+    projections = np.matmul(_PBS_BRAS, pairs)
+    moduli = np.hypot(projections.real, projections.imag).reshape(2, n_oam).tolist()
     p_h = 0.0
+    for m in moduli[0]:
+        p_h += m ** 2
     p_v = 0.0
-    for l in state.space.oam_values():
-        pair = np.array(
-            [state.amplitudes[state.space.index(LEFT, l)],
-             state.amplitudes[state.space.index(RIGHT, l)]]
-        )
-        p_h += abs(np.vdot(H_CIRCULAR, pair)) ** 2
-        p_v += abs(np.vdot(V_CIRCULAR, pair)) ** 2
-    return float(p_h), float(p_v)
+    for m in moduli[1]:
+        p_v += m ** 2
+    return p_h, p_v
 
 
 class OamSorterProbs(NamedTuple):
@@ -189,13 +202,10 @@ class RunReport:
         return out
 
 
-def sample_counts(
-    probabilities: Sequence[float], shots: int, seed: int, batches: int = 1
-) -> np.ndarray:
-    """Multinomial tallies over outcome categories, reproducible per (seed, batches).
+def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.ndarray:
+    """Multinomial tallies over outcome categories, reproducible per seed.
 
-    Each batch draws from its own deterministically spawned stream, so batches
-    may be evaluated concurrently without changing the result.
+    The draw uses the first stream spawned from SeedSequence(seed).
     """
     probs = np.asarray(probabilities, dtype=float)
     if (probs < -1e-12).any():
@@ -204,14 +214,8 @@ def sample_counts(
     probs = probs / probs.sum()
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    if batches < 1:
-        raise ValueError("batches must be >= 1")
-    per_batch = [shots // batches] * batches
-    per_batch[0] += shots - sum(per_batch)
-    counts = np.zeros(len(probs), dtype=np.int64)
-    for child, n in zip(np.random.SeedSequence(seed).spawn(batches), per_batch):
-        counts += np.random.default_rng(child).multinomial(n, probs)
-    return counts
+    (stream,) = np.random.SeedSequence(seed).spawn(1)
+    return np.random.default_rng(stream).multinomial(shots, probs)
 
 
 def run(

@@ -94,8 +94,9 @@ class WaveplateSpec:
     crosstalk: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        # the circular-basis block holds e^{2i theta}, so 2*theta must be finite
+        if not math.isfinite(2.0 * self.theta):
+            raise ValueError(f"theta must be finite, and so must 2*theta; got {self.theta!r}")
         if self.aperture not in (APERTURE_FULL, APERTURE_L0):
             raise ValueError(
                 f"aperture must be '{APERTURE_FULL}' or '{APERTURE_L0}', got "

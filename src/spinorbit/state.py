@@ -169,7 +169,9 @@ class ElementOp:
     """Operator on the mode space, tagged unitary or lossy, in one of two forms.
 
     * Dense, ``ElementOp(space, matrix)``: a dim x dim matrix, checked for
-      U+U = I in O(dim^3).  `compose` returns this form.
+      U+U = I by `_unitarity_deviation`, whose cost follows the nonzero
+      pattern: O(dim^2) for the near-permutations the benches produce, O(dim^3)
+      only for a matrix with many nonzeros per row.  `compose` returns this form.
     * Structured, ``ElementOp(space, source=..., blocks=...)``: U = B P.  The
       gather P is out[i] = in[source[i]] with `source` a permutation of
       range(dim).  B, when `blocks` is given, applies the 2x2 circular-basis
@@ -211,8 +213,7 @@ class ElementOp:
             mat = np.array(matrix, dtype=complex)
             if mat.shape != (dim, dim):
                 raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-            deviation = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
-            self._require_unitary(deviation)
+            self._require_unitary(_unitarity_deviation(mat))
             init(self, "source", None)
             init(self, "blocks", None)
             init(self, "_matrix", _frozen(mat))
@@ -279,6 +280,47 @@ class ElementOp:
     @property
     def is_lossy(self) -> bool:
         return self.kind == LOSSY
+
+
+def _unitarity_deviation(mat: np.ndarray) -> float:
+    """max |U+U - I| of a square matrix, computed from its nonzero pattern.
+
+    (U+U)[j, k] sums conj(U[i, j]) U[i, k] over the rows i, so only pairs of
+    nonzero entries that share a row contribute: the row-wise sparse product
+    of Gustavson (ACM TOMS 4(3), 1978).  The diagonal is each column's
+    squared norm, 0 for a column with no nonzero entry.  Off the diagonal
+    only rows with two or more nonzeros contribute, and (U+U)[k, j] is the
+    conjugate of (U+U)[j, k], so each unordered pair is summed once.  Besides
+    a boolean nonzero mask this allocates O(pairs); when the pairs outnumber
+    dim^2 entries, the dense product is used instead.  NaN counts as nonzero,
+    so it makes the deviation NaN.
+    """
+    dim = mat.shape[0]
+    flat = np.flatnonzero(mat != 0)
+    rows, cols = np.divmod(flat, dim)
+    row_len = np.bincount(rows, minlength=dim)
+    n_pairs = int(row_len @ row_len)
+    if n_pairs > dim * dim:
+        return float(np.abs(mat.conj().T @ mat - np.eye(dim)).max())
+    values = mat[rows, cols]
+    norms = np.bincount(cols, values.real ** 2 + values.imag ** 2, dim)
+    deviation = np.abs(norms - 1.0).max()
+    n_cross = (n_pairs - flat.size) // 2
+    if n_cross:
+        # entry e of flat pairs with the `later[e]` entries after it in its
+        # row, so every pair has j < k; pair p of e's run is e + 1 + p - run_start[e]
+        later = np.cumsum(row_len)[rows] - np.arange(1, flat.size + 1)
+        run_start = np.cumsum(later) - later
+        first = np.repeat(np.arange(flat.size), later)
+        second = first + 1 + np.arange(n_cross) - np.repeat(run_start, later)
+        slots, slot_of_pair = np.unique(cols[first] * dim + cols[second], return_inverse=True)
+        terms = values[first].conj() * values[second]
+        gram = np.bincount(slot_of_pair, terms.real, slots.size) + 1j * np.bincount(
+            slot_of_pair, terms.imag, slots.size
+        )
+        # np.maximum, unlike max(), keeps a NaN from either side
+        deviation = np.maximum(deviation, np.abs(gram).max())
+    return float(deviation)
 
 
 def identity_op(space: ModeSpace, label: str = "identity") -> ElementOp:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,33 @@ def test_bench_directory_exits_1(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, "bench", command, str(tmp_path))
     assert code == 1
     assert "not found" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_bench_not_utf8_exits_1(tmp_path, capsys, command):
+    bad = tmp_path / "latin.bench"
+    bad.write_bytes(b"\xff\xfe bad\n")
+    code, out, err = run_cli(capsys, "bench", command, str(bad))
+    assert code == 1
+    assert out == ""
+    assert str(bad) in err and "UTF-8" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_bench_unreadable_file_exits_1(tmp_path, capsys, monkeypatch, command):
+    locked = tmp_path / "locked.bench"
+    locked.write_text("lens\n")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    code, out, err = run_cli(capsys, "bench", command, str(locked))
+    assert code == 1
+    assert out == ""
+    assert str(locked) in err and "Permission denied" in err and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
 

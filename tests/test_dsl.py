@@ -10,9 +10,12 @@ from spinorbit import (
     BenchFile,
     BenchParseError,
     CompileError,
+    SpinOrbitError,
     apply_chain,
     compile_bench,
     fidelity_up_to_phase,
+    measure_oam_superposition,
+    measure_pbs,
     parse,
     parse_with_errors,
     prepare_input,
@@ -286,3 +289,76 @@ def test_preparation_uniform_hologram_weights(space):
 def test_compile_honours_explicit_space(space):
     compiled = compile_bench(parse("space lmax=4\nlens\n"), space=space)
     assert compiled.space.l_max == 6
+
+
+# --- fuzzing the text pipeline ---------------------------------------------------
+
+#: each statement's keys, the first required, with valid values and then values
+#: at a bound or malformed; key "" is a bare word
+_FUZZ_GRAMMAR = {
+    "space": {"lmax": (("4", "6", "12"), ("1000", "1001", "3", "-1", "1e23", "9" * 20))},
+    "prepare hologram": {"oam": (("0", "+2,-2", "-6,6", "1,2,3"), ("2,2", "7", "10000", ","))},
+    "qplate": {
+        "q": (("1", "-1", "1/2", "-3/2", "2", "0.5"), ("0", "1/3", "1e400", "1/0", "x")),
+        "eta": (("1", "0.97", "0.5"), ("0", "1.5", "nan", "inf", "1e-320")),
+    },
+    "hwp": {
+        "theta": (("0", "0.3", "-3.14159"), ("1e308", "nan", "-inf")),
+        "aperture": (("all", "l0"), ("x",)),
+        "crosstalk": (("0", "0.3", "1"), ("1.5", "-0.1", "nan")),
+    },
+    "dove": {"angle": (("0",), ("0.1", "inf"))},
+    "lens": {},
+    "prepare polarizer": {"": (("H", "V"), ("D",))},
+    "measure": {"": (("pbs", "oam_sorter"), ("x",))},
+}
+_FUZZ_DIRECTIVES = ("space", "prepare hologram", "prepare polarizer", "measure")
+
+
+@st.composite
+def _grammar_line(draw, keyword):
+    """One statement line, mostly well formed: about one draw in sixteen goes wrong."""
+    spec = _FUZZ_GRAMMAR[keyword]
+    required = next(iter(spec), None)
+    tokens = []
+    for key in draw(st.permutations(list(spec))):
+        if draw(st.integers(0, 15 if key == required else 1)) == 0:
+            continue
+        valid, edge = spec[key]
+        value = draw(st.sampled_from(edge if draw(st.integers(0, 15)) == 0 else valid))
+        tokens.append(f"{key}={value}" if key else value)
+    if draw(st.integers(0, 15)) == 0:
+        tokens.append(draw(st.sampled_from(("=", "q=", "=1", "#", "lens"))))
+    return " ".join((keyword, *tokens))
+
+
+@st.composite
+def _grammar_texts(draw):
+    """Each directive at most once plus up to six elements, in any order."""
+    keywords = draw(st.lists(st.sampled_from(_FUZZ_DIRECTIVES), unique=True))
+    keywords += draw(
+        st.lists(st.sampled_from([k for k in _FUZZ_GRAMMAR if k not in _FUZZ_DIRECTIVES]),
+                 max_size=6)
+    )
+    lines = [draw(_grammar_line(keyword)) for keyword in keywords]
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@given(st.one_of(st.text(), _grammar_texts()))
+@settings(max_examples=300, deadline=None)
+def test_text_pipeline_raises_only_bench_errors(text):
+    """Any text, run as `bench run` runs it, fails only with a bench error."""
+    try:
+        bench, errors = parse_with_errors(text)
+        if errors:
+            raise BenchParseError(errors)
+        compiled = compile_bench(bench)
+        output = apply_chain(
+            compiled.elements, compiled.preparation.initial_state(compiled.space)
+        )
+        p_d1, p_d2 = measure_pbs(output)
+        sorter = measure_oam_superposition(output)
+    except (BenchParseError, SpinOrbitError):
+        return
+    assert abs(p_d1 + p_d2 - 1.0) <= 1e-9
+    assert 0.0 <= sorter.residual <= 1.0

@@ -188,7 +188,7 @@ def test_waveplate_spec_validation():
         WaveplateSpec(0.0, APERTURE_L0, crosstalk=1.5)
 
 
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308])
 def test_hwp_rejects_non_finite_theta(space, theta):
     with pytest.raises(ValueError, match="theta"):
         hwp(space, WaveplateSpec(theta))

@@ -1,14 +1,19 @@
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from benchgen import random_bench
 from spinorbit import (
+    ORACLE_IDS,
     ElementOp,
     TruncationError,
     apply,
     apply_chain,
     basis_state,
+    build_oracle,
+    compile_bench,
     compose,
     fidelity_up_to_phase,
     make_space,
@@ -22,6 +27,7 @@ from spinorbit.state import (
     PhotonState,
     RIGHT,
     V_CIRCULAR,
+    _unitarity_deviation,
 )
 
 
@@ -224,6 +230,102 @@ def test_element_op_rejects_non_unitary(space):
 def test_element_op_rejects_nan_matrix(space):
     with pytest.raises(ValueError, match="not unitary"):
         ElementOp(space, np.full((space.dimension, space.dimension), np.nan))
+
+
+def _dense_deviation(matrix):
+    return np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max()
+
+
+def _oracle_product(l_max, oracle_id="cnot", crosstalk=0.3):
+    space = make_space(l_max)
+    op = compose(build_oracle(space, oracle_id, crosstalk=crosstalk).elements)
+    return space, np.array(op.matrix)
+
+
+def test_unitarity_deviation_matches_the_dense_product():
+    matrices = [
+        _oracle_product(l_max, oracle_id, crosstalk)[1]
+        for l_max in (4, 6, 12, 64)
+        for oracle_id in ORACLE_IDS
+        for crosstalk in (0.0, 0.3, 0.9)
+    ]
+    rng = random.Random(4)
+    wanted = len(matrices) + 150
+    while len(matrices) < wanted:
+        compiled = compile_bench(random_bench(rng))
+        if compiled.elements:
+            matrices.append(np.array(compose(compiled.elements).matrix))
+    for matrix in matrices:
+        assert abs(_unitarity_deviation(matrix) - _dense_deviation(matrix)) <= 1e-15
+
+
+def _plant(matrix, fault):
+    if fault == "existing entry +1e-11":
+        row, col = np.argwhere(matrix != 0)[len(matrix) // 2]
+        matrix[row, col] += 1e-11
+    elif fault == "new entry +1e-11":
+        row, col = np.argwhere(matrix == 0)[len(matrix) // 2]
+        matrix[row, col] += 1e-11
+    elif fault == "zeroed column":
+        matrix[:, 7] = 0.0
+    elif fault == "NaN entry":
+        matrix[2, 2] = np.nan
+    elif fault == "NaN in a one-entry row":
+        row = np.flatnonzero(np.count_nonzero(matrix, axis=1) == 1)[0]
+        matrix[row, np.flatnonzero(matrix[row])[0]] = np.nan
+    return matrix
+
+
+@pytest.mark.parametrize("l_max", [6, 64])
+@pytest.mark.parametrize(
+    "fault",
+    [
+        "existing entry +1e-11",
+        "new entry +1e-11",
+        "zeroed column",
+        "NaN entry",
+        "NaN in a one-entry row",
+    ],
+)
+def test_element_op_rejects_faults_planted_in_an_oracle_product(l_max, fault):
+    space, matrix = _oracle_product(l_max)
+    ElementOp(space, matrix)
+    with pytest.raises(ValueError, match="not unitary"):
+        ElementOp(space, _plant(matrix, fault))
+
+
+def test_element_op_accepts_an_oracle_product_perturbed_within_tolerance():
+    space, matrix = _oracle_product(64)
+    matrix[1, 1] += 3e-13j
+    ElementOp(space, matrix)
+
+
+def test_dense_matrix_takes_the_dense_product(space):
+    rng = np.random.default_rng(5)
+    dim = space.dimension
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    # every row is full: dim^3 nonzero pairs exceed dim^2, so the dense product
+    # is used, and its deviation is that formula's to the bit
+    assert _unitarity_deviation(q) == _dense_deviation(q)
+    ElementOp(space, q)
+    q[4, 9] += 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        ElementOp(space, q)
+
+
+def test_unitarity_deviation_of_a_sparse_product_allocates_no_dense_matrix():
+    space, matrix = _oracle_product(200)
+    dim = space.dimension
+    tracemalloc.start()
+    try:
+        deviation = _unitarity_deviation(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert deviation <= 1e-12
+    # a boolean nonzero pattern (dim^2 bytes) plus O(pairs); one complex
+    # dim x dim temporary alone would take 16 * dim^2
+    assert peak < 2 * dim * dim
 
 
 @pytest.mark.parametrize("value", [0.5, np.nan])
