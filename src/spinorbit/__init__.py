@@ -30,14 +30,11 @@ from .dsl import (
 )
 from .elements import (
     DovePrismSpec,
-    Polarizer,
     QPlateSpec,
     WaveplateSpec,
-    cnot_bench,
     dove_prism,
     hwp,
     lens,
-    polarizer,
     qplate,
 )
 from .errors import (

@@ -18,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import deutsch, dsl
+from .dsl import _fmt
 from .errors import BenchParseError, SpinOrbitError
 from .logic import ORACLE_IDS
 from .state import PhotonState, apply_chain, basis_state, fidelity_up_to_phase
@@ -29,10 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PHYSICS = 2
 EXIT_VERIFY = 3
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
 
 
 class _Parser(argparse.ArgumentParser):

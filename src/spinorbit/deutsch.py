@@ -14,20 +14,21 @@ photon surviving; `survival` carries the heralding factor separately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .logic import ORACLE_IDS, build_oracle
+from .logic import BALANCED, CONSTANT, ORACLE_IDS, build_oracle
 from .state import (
+    DEFAULT_L_MAX,
     H_CIRCULAR,
     LEFT,
     PhotonState,
     RIGHT,
     ModeSpace,
     V_CIRCULAR,
+    _INV_SQRT2,
     apply_chain,
     fidelity_up_to_phase,
     make_space,
@@ -37,14 +38,9 @@ PBS = "pbs"
 OAM_SORTER = "oam"
 MEASUREMENTS = (PBS, OAM_SORTER)
 
-CONSTANT = "constant"
-BALANCED = "balanced"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_THRESHOLD = 0.99
-DEFAULT_L_MAX = 6
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def prepare_input(space: ModeSpace) -> PhotonState:

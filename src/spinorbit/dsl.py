@@ -37,9 +37,16 @@ import numpy as np
 
 from . import elements as el
 from .errors import BenchParseError, CompileError
-from .state import LEFT, RIGHT, ElementOp, ModeSpace, PhotonState, make_space
+from .state import (
+    DEFAULT_L_MAX,
+    LEFT,
+    RIGHT,
+    ElementOp,
+    ModeSpace,
+    PhotonState,
+    make_space,
+)
 
-DEFAULT_L_MAX = 6
 MEASURE_PBS = "pbs"
 MEASURE_OAM_SORTER = "oam_sorter"
 MEASURE_KINDS = (MEASURE_PBS, MEASURE_OAM_SORTER)

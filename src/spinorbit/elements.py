@@ -34,21 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .state import (
-    LINEAR_TO_CIRCULAR,
-    LOSSY,
-    UNITARY,
-    ElementOp,
-    ModeSpace,
-    PhotonState,
-    identity_op,
-)
+from .state import LOSSY, UNITARY, ElementOp, ModeSpace, identity_op
 
 APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
-
-AXIS_H = "H"
-AXIS_V = "V"
 
 
 def _as_fraction(q) -> Fraction:
@@ -199,55 +188,3 @@ def dove_prism(
 def lens(space: ModeSpace, label: str = "lens") -> ElementOp:
     """Identity in the mode-index representation; kept so benches mirror the layout."""
     return identity_op(space, label=label)
-
-
-def cnot_bench(
-    space: ModeSpace, eta: float = 1.0, crosstalk: float = 0.0
-) -> list[ElementOp]:
-    """Composite CNOT: q-plates around an OAM-selective half-wave plate.
-
-    Chain, in application order: QP1 (q=1), lens, HWP1 (theta=0, l=0 only),
-    lens, QP2 (q=1).  With eta=1 and crosstalk=0 the composition restricted to
-    the encoded basis is the logical CNOT permutation with +1 entries.
-    """
-    qspec = QPlateSpec(Fraction(1), eta)
-    return [
-        qplate(space, qspec, label="QP1"),
-        lens(space, label="L1"),
-        hwp(space, WaveplateSpec(0.0, APERTURE_L0, crosstalk), label="HWP1"),
-        lens(space, label="L2"),
-        qplate(space, qspec, label="QP2"),
-    ]
-
-
-@dataclass(frozen=True, eq=False)
-class Polarizer:
-    """Projector onto a linear polarization axis, acting on every OAM component."""
-
-    space: ModeSpace
-    axis: str
-    matrix: np.ndarray
-
-    def project(self, state: PhotonState) -> tuple[PhotonState | None, float]:
-        """Project a state; returns (renormalized state, success probability).
-
-        An orthogonal input yields (None, 0.0).
-        """
-        amps = self.matrix @ state.amplitudes
-        probability = float(np.linalg.norm(amps) ** 2)
-        if probability <= 1e-24:
-            return None, 0.0
-        return (
-            PhotonState(state.space, amps / math.sqrt(probability), state.survival),
-            probability,
-        )
-
-
-def polarizer(space: ModeSpace, axis: str) -> Polarizer:
-    if axis not in (AXIS_H, AXIS_V):
-        raise ValueError(f"polarizer axis must be 'H' or 'V', got {axis!r}")
-    column = LINEAR_TO_CIRCULAR[:, 0 if axis == AXIS_H else 1]
-    block = np.outer(column, column.conj())
-    matrix = np.kron(block, np.eye(space.n_oam))
-    matrix.setflags(write=False)
-    return Polarizer(space, axis, matrix)

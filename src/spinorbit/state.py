@@ -38,9 +38,12 @@ POLARIZATIONS = (LEFT, RIGHT)
 #: smallest truncation that keeps the composite CNOT bench representable
 #: (its intermediate states reach OAM +/-4)
 MIN_L_MAX = 4
-#: largest truncation: dim is then 4002, and the biggest dense matrix that
-#: `compose` or `ElementOp.matrix` can build takes 16 * 4002**2 B, about 256 MB
+#: largest truncation: dim is then 4002.  Elements and `compose` products hold
+#: O(dim) entries; only reading `ElementOp.matrix` (or passing a dense matrix)
+#: takes a dense dim x dim array, 16 * 4002**2 B, about 256 MB
 MAX_L_MAX = 1000
+#: truncation used when a bench or a run names none
+DEFAULT_L_MAX = 6
 
 UNITARITY_TOL = 1e-12
 #: amplitude magnitude above which a guarded (edge-of-truncation) mode counts
@@ -168,19 +171,20 @@ LOSSY = "lossy"
 class ElementOp:
     """Operator on the mode space, tagged unitary or lossy, in one of two forms.
 
-    * Dense, ``ElementOp(space, matrix)``: a dim x dim matrix, checked for
-      U+U = I by `_unitarity_deviation`, whose cost follows the nonzero
-      pattern: O(dim^2) for the near-permutations the benches produce, O(dim^3)
-      only for a matrix with many nonzeros per row.  `compose` returns this form.
+    * Entries, ``ElementOp(space, matrix)``: the nonzero entries of a dim x dim
+      matrix, checked for U+U = I on those entries by `_unitarity_deviation`.  The benches' products are near
+      permutations, about dim entries, so this form is O(dim), not O(dim^2).
+      `compose` builds it straight from the product's entries, with no dense
+      matrix; `apply` sums vals * amplitude over the entries.
     * Structured, ``ElementOp(space, source=..., blocks=...)``: U = B P.  The
       gather P is out[i] = in[source[i]] with `source` a permutation of
       range(dim).  B, when `blocks` is given, applies the 2x2 circular-basis
       block ``blocks[k]`` to the (L, R) pair of OAM index l = k - l_max, so
       `blocks` has shape (2*l_max + 1, 2, 2).  Each block is checked unitary,
-      in O(n_oam).  Every element factory builds this form, and `matrix` is
-      then a read-only dense view built on first use.
+      in O(n_oam).  Every element factory builds this form.
 
-    The matrix is unitary in both cases; a lossy element additionally carries
+    In both forms `matrix` is a read-only dense view, built on first use.
+    The matrix is unitary; a lossy element additionally carries
     survival_factor < 1.  `input_mask`, when present, marks the basis states
     the element is defined on: applying it to a state with amplitude on an
     unmasked (edge-of-truncation) mode raises TruncationError instead of
@@ -199,24 +203,41 @@ class ElementOp:
         source: np.ndarray | None = None,
         blocks: np.ndarray | None = None,
     ) -> None:
+        if (matrix is None) == (source is None):
+            raise ValueError("give either a dense matrix or a gather source")
+        entries = None
+        if matrix is not None:
+            if blocks is not None:
+                raise ValueError("blocks belong to the structured form, not to a matrix")
+            dim = space.dimension
+            mat = np.array(matrix, dtype=complex)
+            if mat.shape != (dim, dim):
+                raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
+            rows, cols = np.divmod(np.flatnonzero(mat), dim)
+            entries = rows, cols, mat[rows, cols]
+        self._setup(space, kind, survival_factor, label, input_mask, entries, source, blocks)
+
+    @classmethod
+    def _from_entries(cls, space: ModeSpace, entries, **tags) -> ElementOp:
+        """Entries form from nonzero (rows, cols, vals), with no dense matrix."""
+        op = cls.__new__(cls)
+        op._setup(space, entries=entries, source=None, blocks=None, **tags)
+        return op
+
+    def _setup(self, space, kind, survival_factor, label, input_mask, entries, source, blocks):
         init = object.__setattr__
         init(self, "space", space)
         init(self, "kind", kind)
         init(self, "survival_factor", survival_factor)
         init(self, "label", label)
+        init(self, "_matrix", None)
         dim = space.dimension
-        if (matrix is None) == (source is None):
-            raise ValueError("give either a dense matrix or a gather source")
-        if matrix is not None:
-            if blocks is not None:
-                raise ValueError("blocks belong to the structured form, not to a matrix")
-            mat = np.array(matrix, dtype=complex)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-            self._require_unitary(_unitarity_deviation(mat))
+        if entries is not None:
+            self._require_unitary(_unitarity_deviation(*entries, dim))
+            rows, cols, vals = entries
+            init(self, "_entries", (_frozen(rows), _frozen(cols), _frozen(vals)))
             init(self, "source", None)
             init(self, "blocks", None)
-            init(self, "_matrix", _frozen(mat))
         else:
             src = np.array(source)
             if src.shape != (dim,) or src.dtype.kind not in "iu" or not np.array_equal(
@@ -226,6 +247,7 @@ class ElementOp:
                     f"matrix for {label or 'element'} is not unitary (source is "
                     f"not a permutation of range({dim}))"
                 )
+            init(self, "_entries", None)
             init(self, "source", _frozen(src.astype(np.intp, copy=False)))
             if blocks is not None:
                 blk = np.array(blocks, dtype=complex)
@@ -239,7 +261,6 @@ class ElementOp:
             else:
                 blk = None
             init(self, "blocks", blk)
-            init(self, "_matrix", None)
         if kind == UNITARY:
             if survival_factor != 1.0:
                 raise ValueError("unitary elements must have survival_factor 1")
@@ -271,9 +292,16 @@ class ElementOp:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense dim x dim matrix (read-only; built on first use for structured ops)."""
+        """Dense dim x dim matrix (read-only; built on first use).
+
+        It is scattered from the nonzero entries; a structured op's entries
+        are its own action on the identity, by `_step`.
+        """
         if self._matrix is None:
-            dense = _act(self, np.eye(self.space.dimension, dtype=complex))
+            dim = self.space.dimension
+            rows, cols, vals = self._entries or _step(self, *_identity_entries(dim))
+            dense = np.zeros((dim, dim), dtype=complex)
+            dense[rows, cols] = vals
             object.__setattr__(self, "_matrix", _frozen(dense))
         return self._matrix
 
@@ -282,41 +310,58 @@ class ElementOp:
         return self.kind == LOSSY
 
 
-def _unitarity_deviation(mat: np.ndarray) -> float:
-    """max |U+U - I| of a square matrix, computed from its nonzero pattern.
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal keys with one sort, in place of `np.unique`.
 
-    (U+U)[j, k] sums conj(U[i, j]) U[i, k] over the rows i, so only pairs of
-    nonzero entries that share a row contribute: the row-wise sparse product
-    of Gustavson (ACM TOMS 4(3), 1978).  The diagonal is each column's
-    squared norm, 0 for a column with no nonzero entry.  Off the diagonal
-    only rows with two or more nonzeros contribute, and (U+U)[k, j] is the
-    conjugate of (U+U)[j, k], so each unordered pair is summed once.  Besides
-    a boolean nonzero mask this allocates O(pairs); when the pairs outnumber
-    dim^2 entries, the dense product is used instead.  NaN counts as nonzero,
-    so it makes the deviation NaN.
+    Returns (order, slot): ``keys[order]`` is ascending, and ``slot[i]`` is
+    the position in it of the first key equal to ``keys[i]``, so equal keys
+    share a slot in range(keys.size).  Slots that start no group are never
+    used: callers sum or scatter into keys.size slots and skip the empty
+    ones.  This avoids the fixed cost of ``np.unique(return_inverse=True)``,
+    which dominated on small products.
     """
-    dim = mat.shape[0]
-    flat = np.flatnonzero(mat != 0)
-    rows, cols = np.divmod(flat, dim)
+    order = keys.argsort()
+    return order, keys[order].searchsorted(keys)
+
+
+def _unitarity_deviation(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int
+) -> float:
+    """max |U+U - I| of a dim x dim matrix given by its nonzero entries.
+
+    The entries may come in any order.  (U+U)[j, k] sums
+    conj(U[i, j]) U[i, k] over the rows i, so only pairs of entries that
+    share a row contribute: the row-wise sparse product of Gustavson (ACM
+    TOMS 4(3), 1978).  The diagonal is each column's squared norm, 0 for a
+    column with no entry.  Off the diagonal only rows with two or more
+    entries contribute, and (U+U)[k, j] is the conjugate of (U+U)[j, k], so
+    each unordered pair is summed once.  This allocates O(pairs); when the
+    pairs outnumber dim^2, the dense product is used instead.  A NaN entry
+    makes the deviation NaN.
+    """
     row_len = np.bincount(rows, minlength=dim)
     n_pairs = int(row_len @ row_len)
     if n_pairs > dim * dim:
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[rows, cols] = vals
         return float(np.abs(mat.conj().T @ mat - np.eye(dim)).max())
-    values = mat[rows, cols]
-    norms = np.bincount(cols, values.real ** 2 + values.imag ** 2, dim)
+    norms = np.bincount(cols, vals.real ** 2 + vals.imag ** 2, dim)
     deviation = np.abs(norms - 1.0).max()
-    n_cross = (n_pairs - flat.size) // 2
+    n_cross = (n_pairs - rows.size) // 2
     if n_cross:
-        # entry e of flat pairs with the `later[e]` entries after it in its
-        # row, so every pair has j < k; pair p of e's run is e + 1 + p - run_start[e]
-        later = np.cumsum(row_len)[rows] - np.arange(1, flat.size + 1)
-        run_start = np.cumsum(later) - later
-        first = np.repeat(np.arange(flat.size), later)
-        second = first + 1 + np.arange(n_cross) - np.repeat(run_start, later)
-        slots, slot_of_pair = np.unique(cols[first] * dim + cols[second], return_inverse=True)
-        terms = values[first].conj() * values[second]
-        gram = np.bincount(slot_of_pair, terms.real, slots.size) + 1j * np.bincount(
-            slot_of_pair, terms.imag, slots.size
+        order = (rows * dim + cols).argsort()
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        # in row-major order, entry e pairs with the `later[e]` entries after
+        # it in its row, so every pair has j < k; pair p of e's run is
+        # e + 1 + p - run_start[e]
+        later = row_len.cumsum()[rows] - np.arange(1, rows.size + 1)
+        run_start = later.cumsum() - later
+        first = np.arange(rows.size).repeat(later)
+        second = first + 1 + np.arange(n_cross) - run_start.repeat(later)
+        _, slot = _group(cols[first] * dim + cols[second])
+        terms = vals[first].conj() * vals[second]
+        gram = np.bincount(slot, terms.real, n_cross) + 1j * np.bincount(
+            slot, terms.imag, n_cross
         )
         # np.maximum, unlike max(), keeps a NaN from either side
         deviation = np.maximum(deviation, np.abs(gram).max())
@@ -327,19 +372,79 @@ def identity_op(space: ModeSpace, label: str = "identity") -> ElementOp:
     return ElementOp(space, source=np.arange(space.dimension), label=label)
 
 
-def _act(op: ElementOp, array: np.ndarray) -> np.ndarray:
-    """U @ array for a vector, or a matrix whose first axis is the mode index.
+def _identity_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    diagonal = np.arange(dim)
+    return diagonal, diagonal, np.ones(dim, dtype=complex)
 
-    A structured op gathers, then mixes each (L, R) pair with its 2x2 block:
-    the mode axis reshaped to (2, n_oam) is (pol, l + l_max), the README order.
+
+def _step(
+    op: ElementOp, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of U @ T, with U = `op` and T given by its nonzero entries.
+
+    A gather moves T's row source[i] to row i.  A block element then mixes,
+    for each (l, column) that T touches, the (L, R) pair of that column with
+    the l block, by the same einsum `_act` applies to a vector, so each
+    product entry has the bits that entry of the dense product would have;
+    exact zeros are dropped.
     """
-    if op.source is None:
-        return op.matrix @ array
-    out = array[op.source]
+    n_oam = op.space.n_oam
+    dim = 2 * n_oam
+    if op._entries is not None:
+        return _product(op._entries, rows, cols, vals, dim)
+    rows = op.source.argsort()[rows]
+    if op.blocks is None:
+        return rows, cols, vals
+    pol, k = divmod(rows, n_oam)
+    order, group = _group(k * dim + cols)
+    pairs = np.zeros((2, rows.size), dtype=complex)
+    pairs[pol, group] = vals
+    k, cols = k[order], cols[order]
+    mixed = np.einsum("kpq,qk->pk", op.blocks.take(k, axis=0), pairs).ravel()
+    keep = mixed.nonzero()[0]
+    return np.concatenate((k, k + n_oam))[keep], np.concatenate((cols, cols))[keep], mixed[keep]
+
+
+def _product(
+    entries, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of A @ T, both given by their nonzero entries."""
+    a_rows, a_cols, a_vals = entries
+    # entry (j, c) of T meets each entry (i, j) of A's column j
+    by_col = a_cols.argsort(kind="stable")
+    col_len = np.bincount(a_cols, minlength=dim)
+    fan = col_len[rows]
+    t = np.arange(rows.size).repeat(fan)
+    skip = (col_len.cumsum() - col_len)[rows] - (fan.cumsum() - fan)
+    a = by_col[np.arange(t.size) + skip.repeat(fan)]
+    terms = a_vals[a] * vals[t]
+    keys = a_rows[a] * dim + cols[t]
+    order, slot = _group(keys)
+    sums = np.bincount(slot, terms.real, t.size) + 1j * np.bincount(slot, terms.imag, t.size)
+    keep = sums.nonzero()[0]
+    out_rows, out_cols = divmod(keys[order[keep]], dim)
+    return out_rows, out_cols, sums[keep]
+
+
+def _act(op: ElementOp, vector: np.ndarray) -> np.ndarray:
+    """U @ vector.
+
+    The entries form sums vals * vector[cols] into rows.  A structured op
+    gathers, then mixes each (L, R) pair with its 2x2 block: the mode axis
+    reshaped to (2, n_oam) is (pol, l + l_max), the README order.
+    """
+    if op._entries is not None:
+        rows, cols, vals = op._entries
+        terms = vals * vector[cols]
+        dim = op.space.dimension
+        out = np.empty(dim, dtype=complex)
+        out.real = np.bincount(rows, terms.real, dim)
+        out.imag = np.bincount(rows, terms.imag, dim)
+        return out
+    out = vector[op.source]
     if op.blocks is not None:
-        rest = array.shape[1:]
-        pairs = out.reshape(2, op.space.n_oam, *rest)
-        out = np.einsum("kpq,qk...->pk...", op.blocks, pairs).reshape(array.shape)
+        pairs = out.reshape(2, op.space.n_oam)
+        out = np.einsum("kpq,qk->pk", op.blocks, pairs).reshape(out.shape)
     return out
 
 
@@ -389,36 +494,37 @@ def fidelity_up_to_phase(a: PhotonState, b: PhotonState) -> float:
 def compose(ops: Sequence[ElementOp]) -> ElementOp:
     """Compose elements in application order (last element's matrix leftmost).
 
-    The product is built by applying each element to the columns of the
-    running matrix, so a structured element costs O(dim^2), not a matmul,
-    and the result is a dense ElementOp.  The composite survival factor is
-    the product of the factors, the kind is lossy iff any input is lossy, and
-    the input mask excludes every basis state whose trajectory would touch a
-    guarded mode of any stage.
+    The product is carried as its nonzero entries and each element is applied
+    to them (see `_step`), so no dense dim x dim matrix is built: an element
+    costs O(entries), and the benches' products have about dim of them.  The
+    result is an ElementOp in the entries form, checked for unitarity.  The
+    composite survival factor is the product of the factors, the kind is
+    lossy iff any input is lossy, and the input mask excludes every basis
+    state whose trajectory would touch a guarded mode of any stage.
     """
     if not ops:
         raise ValueError("cannot compose an empty element list")
     space = ops[0].space
     dim = space.dimension
     for op in ops:
-        if op.space.dimension != dim:
+        if op.space.l_max != space.l_max:
             raise ValueError("composed elements must share one mode space")
-    total = np.eye(dim, dtype=complex)
+    rows, cols, vals = _identity_entries(dim)
     mask = np.ones(dim, dtype=bool)
     for op in ops:
         if op.input_mask is not None:
-            blocked = ~op.input_mask
-            leakage = np.abs(total[blocked, :]).sum(axis=0)
+            blocked = ~op.input_mask[rows]
+            leakage = np.bincount(cols[blocked], np.abs(vals[blocked]), dim)
             mask &= leakage <= GUARD_TOL
-        total = _act(op, total)
+        rows, cols, vals = _step(op, rows, cols, vals)
     survival = 1.0
     for op in ops:
         survival *= op.survival_factor
     kind = LOSSY if any(op.is_lossy for op in ops) else UNITARY
     label = " -> ".join(op.label or "element" for op in ops)
-    return ElementOp(
+    return ElementOp._from_entries(
         space,
-        total,
+        (rows, cols, vals),
         kind=kind,
         survival_factor=survival,
         label=label,

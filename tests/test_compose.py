@@ -1,0 +1,167 @@
+"""`compose` against the dense product it replaced.
+
+`dense_compose` below is the dense loop `compose` used to run: a dim x dim
+running matrix, each element applied to its columns by the structured
+gather and per-l `einsum`, and the guard mask summed over the blocked rows.
+`compose` now carries only the product's nonzero entries and must give the
+same bytes for every chain of structured elements.
+"""
+
+import math
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from benchgen import random_bench
+from spinorbit import (
+    ORACLE_IDS,
+    ElementOp,
+    apply,
+    build_oracle,
+    compile_bench,
+    compose,
+    make_space,
+    truth_table,
+)
+from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
+from spinorbit.state import GUARD_TOL, LOSSY, UNITARY, PhotonState
+
+# --- dense reference -------------------------------------------------------------
+
+
+def dense_act(op, matrix):
+    """U @ matrix, by the structured gather and per-l einsum over all columns."""
+    if op.source is None:
+        return op.matrix @ matrix
+    out = matrix[op.source]
+    if op.blocks is not None:
+        pairs = out.reshape(2, op.space.n_oam, matrix.shape[1])
+        out = np.einsum("kpq,qk...->pk...", op.blocks, pairs).reshape(matrix.shape)
+    return out
+
+
+def dense_compose(ops):
+    """(matrix, input mask or None, survival, kind, label) of the dense loop."""
+    dim = ops[0].space.dimension
+    total = np.eye(dim, dtype=complex)
+    mask = np.ones(dim, dtype=bool)
+    for op in ops:
+        if op.input_mask is not None:
+            leakage = np.abs(total[~op.input_mask, :]).sum(axis=0)
+            mask &= leakage <= GUARD_TOL
+        total = dense_act(op, total)
+    survival = 1.0
+    for op in ops:
+        survival *= op.survival_factor
+    kind = LOSSY if any(op.is_lossy for op in ops) else UNITARY
+    label = " -> ".join(op.label or "element" for op in ops)
+    return total, None if mask.all() else mask, survival, kind, label
+
+
+def assert_same_bytes(composed, reference):
+    matrix, mask, survival, kind, label = reference
+    assert composed.matrix.tobytes() == matrix.tobytes()
+    if mask is None:
+        assert composed.input_mask is None
+    else:
+        assert composed.input_mask.tobytes() == mask.tobytes()
+    assert (composed.survival_factor, composed.kind, composed.label) == (survival, kind, label)
+
+
+# --- byte equality -----------------------------------------------------------------
+
+
+def _oracle_chains(l_max):
+    space = make_space(l_max)
+    for oracle_id in ORACLE_IDS:
+        for eta in (1.0, 0.97):
+            # crosstalk only enters through HWP1, which identity and not lack
+            for crosstalk in (0.0, 0.3, 0.77, 1.0) if oracle_id in ("cnot", "zcnot") else (0.0,):
+                chain = build_oracle(space, oracle_id, eta=eta, crosstalk=crosstalk).elements
+                yield chain
+                yield chain * 2
+
+
+@pytest.mark.parametrize("l_max", [4, 6, 12, 64, 200])
+def test_oracle_chains_match_the_dense_loop_byte_for_byte(l_max):
+    for chain in _oracle_chains(l_max):
+        assert_same_bytes(compose(chain), dense_compose(chain))
+
+
+def test_random_bench_chains_match_the_dense_loop_byte_for_byte():
+    rng = random.Random(51)
+    checked = 0
+    while checked < 150:
+        elements = compile_bench(random_bench(rng)).elements
+        if elements:
+            assert_same_bytes(compose(elements), dense_compose(elements))
+            checked += 1
+
+
+def test_chain_with_entries_form_ops_matches_the_dense_product():
+    space = make_space(6)
+    u = hwp(space, WaveplateSpec(0.7))
+    u_dag = ElementOp(space, u.matrix.conj().T, label="hwp+")
+    cnot = compose(build_oracle(space, "cnot", eta=0.97, crosstalk=0.3).elements)
+    chain = [u, u_dag, hwp(space, WaveplateSpec(0.0, "l0_only", 0.3)), cnot, u]
+    composed = compose(chain)
+    matrix, mask, survival, kind, label = dense_compose(chain)
+    assert np.abs(composed.matrix - matrix).max() <= 1e-15
+    assert np.array_equal(composed.input_mask, mask)
+    assert (composed.survival_factor, composed.kind, composed.label) == (survival, kind, label)
+    # an entries-form product composed again
+    twice = compose([cnot, cnot])
+    assert np.abs(twice.matrix - cnot.matrix @ cnot.matrix).max() <= 1e-15
+
+
+@pytest.mark.parametrize("l_max", [4, 6])
+def test_leak_into_a_guarded_mode_gives_the_dense_mask(l_max):
+    space = make_space(l_max)
+    first = qplate(space, QPlateSpec(1))
+    # the mixer spreads |L,l> onto |R,l>, so later plates meet both polarizations
+    chain = [
+        first,
+        hwp(space, WaveplateSpec(0.0, "l0_only", 0.4)),
+        qplate(space, QPlateSpec(1)),
+        qplate(space, QPlateSpec("1/2", eta=0.9)),
+    ]
+    composed = compose(chain)
+    reference = dense_compose(chain)
+    assert_same_bytes(composed, reference)
+    # later stages excluded inputs that the first plate alone accepts
+    assert np.count_nonzero(~composed.input_mask) > np.count_nonzero(~first.input_mask)
+
+
+def test_compose_at_the_largest_truncation_holds_no_dense_matrix():
+    space = make_space(1000)
+    dim = space.dimension
+    bench = build_oracle(space, "zcnot")
+    tracemalloc.start()
+    try:
+        composed = compose(bench.elements)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense complex matrix would take 16 * dim^2 bytes
+    assert peak < dim * dim
+    assert composed.input_mask is not None
+    assert truth_table(bench) == truth_table(build_oracle(make_space(6), "zcnot"))
+
+
+@pytest.mark.parametrize("l_max", [6, 64])
+def test_apply_of_an_entries_form_op_matches_its_matrix(l_max):
+    space = make_space(l_max)
+    rng = np.random.default_rng(l_max)
+    for oracle_id in ORACLE_IDS:
+        composed = compose(build_oracle(space, oracle_id, eta=0.97, crosstalk=0.3).elements)
+        for _ in range(5):
+            amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+            if composed.input_mask is not None:
+                amps[~composed.input_mask] = 0.0
+            state = PhotonState(space, amps / np.linalg.norm(amps))
+            out = apply(composed, state)
+            expected = composed.matrix @ state.amplitudes
+            assert np.abs(out.amplitudes - expected / np.linalg.norm(expected)).max() <= 1e-15
+            assert out.survival == composed.survival_factor == math.prod([0.97, 0.97])

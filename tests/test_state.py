@@ -236,6 +236,12 @@ def _dense_deviation(matrix):
     return np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max()
 
 
+def _entries(matrix):
+    """Row-major nonzero entries of a square matrix, as `_unitarity_deviation` takes them."""
+    rows, cols = np.nonzero(matrix)
+    return rows, cols, matrix[rows, cols], matrix.shape[0]
+
+
 def _oracle_product(l_max, oracle_id="cnot", crosstalk=0.3):
     space = make_space(l_max)
     op = compose(build_oracle(space, oracle_id, crosstalk=crosstalk).elements)
@@ -256,7 +262,7 @@ def test_unitarity_deviation_matches_the_dense_product():
         if compiled.elements:
             matrices.append(np.array(compose(compiled.elements).matrix))
     for matrix in matrices:
-        assert abs(_unitarity_deviation(matrix) - _dense_deviation(matrix)) <= 1e-15
+        assert abs(_unitarity_deviation(*_entries(matrix)) - _dense_deviation(matrix)) <= 1e-15
 
 
 def _plant(matrix, fault):
@@ -306,7 +312,7 @@ def test_dense_matrix_takes_the_dense_product(space):
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     # every row is full: dim^3 nonzero pairs exceed dim^2, so the dense product
     # is used, and its deviation is that formula's to the bit
-    assert _unitarity_deviation(q) == _dense_deviation(q)
+    assert _unitarity_deviation(*_entries(q)) == _dense_deviation(q)
     ElementOp(space, q)
     q[4, 9] += 1e-9
     with pytest.raises(ValueError, match="not unitary"):
@@ -316,15 +322,15 @@ def test_dense_matrix_takes_the_dense_product(space):
 def test_unitarity_deviation_of_a_sparse_product_allocates_no_dense_matrix():
     space, matrix = _oracle_product(200)
     dim = space.dimension
+    entries = _entries(matrix)
     tracemalloc.start()
     try:
-        deviation = _unitarity_deviation(matrix)
+        deviation = _unitarity_deviation(*entries)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert deviation <= 1e-12
-    # a boolean nonzero pattern (dim^2 bytes) plus O(pairs); one complex
-    # dim x dim temporary alone would take 16 * dim^2
+    # O(pairs); one complex dim x dim temporary alone would take 16 * dim^2
     assert peak < 2 * dim * dim
 
 
