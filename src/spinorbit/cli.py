@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import deutsch, dsl
 from .dsl import _fmt
-from .errors import BenchParseError, SpinOrbitError
+from .errors import BenchParseError, CompileError, SpinOrbitError
 from .logic import ORACLE_IDS
 from .state import PhotonState, apply_chain, basis_state, fidelity_up_to_phase
 from .verify import SUITES
@@ -216,7 +216,8 @@ class _UnreadableBench(Exception):
 def _read_bench_file(args) -> tuple[Path, str]:
     """The bench file's path (as given, else in the corpus) and its UTF-8 text.
 
-    Raises _UnreadableBench with a one-line message naming the file.
+    Raises _UnreadableBench with a one-line message naming the file, and
+    CompileError, before reading, for a file above `dsl.MAX_BENCH_BYTES`.
     """
     # only regular files: a directory of that name is not a bench
     for path in (Path(args.file), _corpus_dir(args.corpus) / args.file):
@@ -225,6 +226,12 @@ def _read_bench_file(args) -> tuple[Path, str]:
     else:
         raise _UnreadableBench(f"bench file not found: {args.file}")
     try:
+        size = path.stat().st_size
+        if size > dsl.MAX_BENCH_BYTES:
+            raise CompileError(
+                f"bench file {path} is {size} bytes; the limit is "
+                f"{dsl.MAX_BENCH_BYTES}"
+            )
         return path, path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _UnreadableBench(

@@ -51,6 +51,13 @@ MEASURE_PBS = "pbs"
 MEASURE_OAM_SORTER = "oam_sorter"
 MEASURE_KINDS = (MEASURE_PBS, MEASURE_OAM_SORTER)
 
+#: most elements a bench may hold; checked before any is built.  At
+#: `space lmax=1000` an element holds up to ~160 KB, so this bounds a chain
+#: at ~41 MB
+MAX_ELEMENTS = 256
+#: largest .bench file the CLI reads, checked before reading it
+MAX_BENCH_BYTES = 1 << 20
+
 _APERTURE_WORDS = {"all": el.APERTURE_FULL, "l0": el.APERTURE_L0}
 _APERTURE_NAMES = {v: k for k, v in _APERTURE_WORDS.items()}
 
@@ -456,6 +463,10 @@ def _build_element(space: ModeSpace, index: int, stmt: ElementStmt) -> ElementOp
 
 def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledBench:
     """Semantic validation plus construction of the executable chain."""
+    if len(bench.elements) > MAX_ELEMENTS:
+        raise CompileError(
+            f"bench has {len(bench.elements)} elements; the limit is {MAX_ELEMENTS}"
+        )
     l_max = space.l_max if space is not None else (
         bench.l_max if bench.l_max is not None else DEFAULT_L_MAX
     )

@@ -1,9 +1,10 @@
 """Factories for the optical elements that make up the benches.
 
 Every factory returns a structured `ElementOp` (see `state.ElementOp`): the
-q-plate and the Dove prism are pure index permutations of the mode vector,
-the waveplates are one 2x2 polarization block per OAM value, and the lens is
-the identity permutation.  None of them fills a dense dim x dim matrix; the
+q-plate (the identity plus one shifted slice per polarization half) and the
+Dove prism are index permutations of the mode vector, the waveplates repeat
+one or two distinct 2x2 polarization blocks over the OAM values, and the lens
+is the identity permutation.  None of them fills a dense dim x dim matrix; the
 `matrix` property builds that view only when a caller reads it.
 
 Conventions (pinned so the composed gates come out with +1 row phases):
@@ -34,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .state import LOSSY, UNITARY, ElementOp, ModeSpace, identity_op
+from .state import LOSSY, UNITARY, ElementOp, ModeSpace
 
 APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
@@ -61,7 +62,8 @@ class QPlateSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _as_fraction(self.q))
-        if (2 * self.q).denominator != 1:
+        # in lowest terms, 2q is an integer iff q's denominator is 1 or 2
+        if self.q.denominator > 2:
             raise ValueError(
                 f"2q must be an integer so the OAM shift stays on the integer "
                 f"lattice; got q={self.q}"
@@ -71,7 +73,8 @@ class QPlateSpec:
 
     @property
     def oam_shift(self) -> int:
-        return int(2 * self.q)
+        # 2q is an integer, so this is exact; Fraction arithmetic costs more
+        return 2 * self.q.numerator // self.q.denominator
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,8 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
 
     Basis states within 2|q| of the truncation edge cannot be shifted; they are
     kept as fixed points but excluded from the input mask, so the operator
-    stays unitary while apply() rejects states that occupy them.
+    stays unitary while apply() rejects states that occupy them.  The gather is
+    the identity with the shifted modes, one slice per polarization, moved.
     """
     shift = spec.oam_shift
     if abs(shift) > 2 * space.l_max:
@@ -122,22 +126,22 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
             f"in |l| <= {space.l_max} survives"
         )
     n = space.n_oam
-    k = np.arange(n)
-    # |L, k> receives |R, k+shift> and |R, k> receives |L, k-shift>; a mode
-    # whose partner lies outside the truncation is a fixed point instead
-    from_r, from_l = k + shift, k - shift
-    r_in = (0 <= from_r) & (from_r < n)
-    l_in = (0 <= from_l) & (from_l < n)
-    source = np.concatenate((np.where(r_in, n + from_r, k), np.where(l_in, from_l, n + k)))
-    # |L, k> is shifted iff its image |R, k+shift> exists, and likewise for R
-    mask = np.concatenate((r_in, l_in))
+    # |L, k> receives |R, k+shift> for k in [lo, n-hi) and |R, k> receives
+    # |L, k-shift> for k in [hi, n-lo): one slice of each half; every other
+    # mode's partner lies outside the truncation, so it is a fixed point
+    lo, hi = max(0, -shift), max(0, shift)
+    source = np.arange(2 * n)
+    source[lo:n - hi] += n + shift
+    source[n + hi:2 * n - lo] -= n + shift
+    # the input mask holds the shifted modes, which are all of them for q = 0
+    mask = source != np.arange(2 * n) if shift else None
     kind = LOSSY if spec.eta < 1.0 else UNITARY
     return ElementOp(
         space,
         kind=kind,
         survival_factor=spec.eta if spec.eta < 1.0 else 1.0,
         label=label or f"qplate(q={spec.q})",
-        input_mask=None if mask.all() else mask,
+        input_mask=mask,
         source=source,
     )
 
@@ -160,20 +164,19 @@ def _retarder_block_circular(crosstalk: float) -> np.ndarray:
 def hwp(space: ModeSpace, spec: WaveplateSpec, label: str | None = None) -> ElementOp:
     """Half-wave plate, full-aperture or acting on the l=0 component only."""
     active = _hwp_block_circular(spec.theta)
+    # per-l index into the distinct blocks: 1 for a full aperture, else 2
+    index = np.zeros(space.n_oam, dtype=np.intp)
     if spec.aperture == APERTURE_FULL:
-        blocks = np.broadcast_to(active, (space.n_oam, 2, 2))
+        distinct = np.array((active,), dtype=complex)
     else:
-        residual = _retarder_block_circular(spec.crosstalk)
-        is_l0 = np.arange(space.n_oam) == space.l_max
-        blocks = np.where(is_l0[:, None, None], active, residual)
+        distinct = np.array((_retarder_block_circular(spec.crosstalk), active), dtype=complex)
+        index[space.l_max] = 1
     name = label or (
         f"hwp(theta={spec.theta:g})"
         if spec.aperture == APERTURE_FULL
         else f"hwp(theta={spec.theta:g}, l0_only, crosstalk={spec.crosstalk:g})"
     )
-    return ElementOp(
-        space, label=name, source=np.arange(space.dimension), blocks=blocks
-    )
+    return ElementOp._from_blocks(space, distinct, index, label=name)
 
 
 def dove_prism(
@@ -187,4 +190,4 @@ def dove_prism(
 
 def lens(space: ModeSpace, label: str = "lens") -> ElementOp:
     """Identity in the mode-index representation; kept so benches mirror the layout."""
-    return identity_op(space, label=label)
+    return ElementOp(space, source=np.arange(space.dimension), label=label)

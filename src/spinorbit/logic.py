@@ -41,6 +41,7 @@ from .state import (
     ElementOp,
     ModeSpace,
     PhotonState,
+    _act,
     apply,
     basis_state,
     compose,
@@ -189,7 +190,13 @@ def logical_matrix(oracle_id: str) -> np.ndarray:
 
 
 def encoded_restriction(op: ElementOp) -> np.ndarray:
-    """4x4 restriction <enc_i| U |enc_j> of an operator to the encoded basis."""
+    """4x4 restriction <enc_i| U |enc_j> of an operator to the encoded basis.
+
+    Column j is U applied to encoded ket j, read at the four encoded modes:
+    O(dim), with no dense matrix.
+    """
     space = op.space
     indices = [space.index(*LOGICAL_STATES[bits]) for bits in _BIT_ORDER]
-    return op.matrix[np.ix_(indices, indices)]
+    kets = np.zeros((4, space.dimension), dtype=complex)
+    kets[range(4), indices] = 1.0
+    return np.column_stack([_act(op, ket)[indices] for ket in kets])

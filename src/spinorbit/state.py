@@ -24,7 +24,7 @@ survival factor < 1 instead of attenuating individual modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,9 +67,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeSpace:
-    """Truncated polarization (x) OAM space with the documented basis ordering."""
+    """Truncated polarization (x) OAM space with the documented basis ordering.
+
+    `n_oam` and `dimension` are stored once, and take no part in equality."""
 
     l_max: int
+    n_oam: int = field(init=False, repr=False, compare=False)
+    dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.l_max, int) or isinstance(self.l_max, bool):
@@ -83,14 +87,8 @@ class ModeSpace:
             raise TruncationError(
                 f"l_max={self.l_max} is above the maximum {MAX_L_MAX}"
             )
-
-    @property
-    def n_oam(self) -> int:
-        return 2 * self.l_max + 1
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.n_oam
+        object.__setattr__(self, "n_oam", 2 * self.l_max + 1)
+        object.__setattr__(self, "dimension", 2 * self.n_oam)
 
     def oam_values(self) -> range:
         return range(-self.l_max, self.l_max + 1)
@@ -132,13 +130,14 @@ class PhotonState:
     survival: float = 1.0
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
+        # no copy needed: the stored array is the fresh quotient amps / norm
+        amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.space.dimension,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected "
                 f"({self.space.dimension},)"
             )
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
         # written so that a NaN norm fails too
         if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"amplitudes are not normalized (norm={norm!r})")
@@ -155,6 +154,12 @@ class PhotonState:
             if abs(a) > tol:
                 pol, l = self.space.basis_label(i)
                 yield pol, l, complex(a)
+
+
+def _norm(amps: np.ndarray) -> float:
+    # np.linalg.norm's arithmetic for a complex vector, without its dispatch
+    re, im = amps.real, amps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def basis_state(space: ModeSpace, pol: str, l: int) -> PhotonState:
@@ -177,18 +182,20 @@ class ElementOp:
       `compose` builds it straight from the product's entries, with no dense
       matrix; `apply` sums vals * amplitude over the entries.
     * Structured, ``ElementOp(space, source=..., blocks=...)``: U = B P.  The
-      gather P is out[i] = in[source[i]] with `source` a permutation of
-      range(dim).  B, when `blocks` is given, applies the 2x2 circular-basis
-      block ``blocks[k]`` to the (L, R) pair of OAM index l = k - l_max, so
-      `blocks` has shape (2*l_max + 1, 2, 2).  Each block is checked unitary,
-      in O(n_oam).  Every element factory builds this form.
+      gather P is out[i] = in[source[i]] with `source` (copied) a permutation
+      of range(dim), checked by one `bincount`.  B, when `blocks` is given,
+      applies the 2x2 circular-basis block ``blocks[k]`` to the (L, R) pair of
+      OAM index l = k - l_max, so `blocks` has shape (2*l_max + 1, 2, 2).  Each
+      block is checked unitary, in O(n_oam); `hwp` passes only its distinct
+      blocks (`_from_blocks`).  Every element factory builds this form.
 
     In both forms `matrix` is a read-only dense view, built on first use.
     The matrix is unitary; a lossy element additionally carries
     survival_factor < 1.  `input_mask`, when present, marks the basis states
     the element is defined on: applying it to a state with amplitude on an
     unmasked (edge-of-truncation) mode raises TruncationError instead of
-    silently corrupting the result.  Instances are immutable.
+    silently corrupting the result (the unmasked modes are listed once, at
+    construction).  Instances are immutable.
     """
 
     def __init__(
@@ -224,6 +231,15 @@ class ElementOp:
         op._setup(space, entries=entries, source=None, blocks=None, **tags)
         return op
 
+    @classmethod
+    def _from_blocks(cls, space: ModeSpace, distinct, index, label: str) -> ElementOp:
+        """Identity gather, ``blocks = distinct[index]``; checks only `distinct`."""
+        op = cls.__new__(cls)
+        op._setup(space, UNITARY, 1.0, label, None, None, np.arange(space.dimension), None)
+        op._require_unitary(_blocks_deviation(distinct.tolist()))
+        object.__setattr__(op, "blocks", _frozen(distinct.take(index, axis=0)))
+        return op
+
     def _setup(self, space, kind, survival_factor, label, input_mask, entries, source, blocks):
         init = object.__setattr__
         init(self, "space", space)
@@ -239,16 +255,22 @@ class ElementOp:
             init(self, "source", None)
             init(self, "blocks", None)
         else:
-            src = np.array(source)
-            if src.shape != (dim,) or src.dtype.kind not in "iu" or not np.array_equal(
-                np.sort(src), np.arange(dim)
+            src = np.asarray(source)
+            # a copy, so that the caller's array cannot change the op
+            src = src.astype(np.intp) if src.dtype.kind in "iu" else src
+            # viewed unsigned a negative index is huge, so the largest bounds both
+            # ends; then dim indices filling dim bins, none empty, are a permutation
+            # (argmax and count_nonzero skip the Python layer of .max() and .all())
+            if src.shape != (dim,) or src.dtype != np.intp or (
+                (unsigned := src.view(np.uintp))[unsigned.argmax()] >= dim
+                or np.count_nonzero(np.bincount(src, minlength=dim)) < dim
             ):
                 raise ValueError(
                     f"matrix for {label or 'element'} is not unitary (source is "
                     f"not a permutation of range({dim}))"
                 )
             init(self, "_entries", None)
-            init(self, "source", _frozen(src.astype(np.intp, copy=False)))
+            init(self, "source", _frozen(src))
             if blocks is not None:
                 blk = np.array(blocks, dtype=complex)
                 if blk.shape != (space.n_oam, 2, 2):
@@ -278,6 +300,8 @@ class ElementOp:
                 raise ValueError("input_mask length must equal the dimension")
             input_mask = _frozen(mask)
         init(self, "input_mask", input_mask)
+        # the unmasked modes, which `_check_guard` reads
+        init(self, "_blocked", None if input_mask is None else (~input_mask).nonzero()[0])
 
     def _require_unitary(self, deviation) -> None:
         # written so that a NaN deviation fails too
@@ -308,6 +332,18 @@ class ElementOp:
     @property
     def is_lossy(self) -> bool:
         return self.kind == LOSSY
+
+
+def _blocks_deviation(blocks: list) -> float:
+    """max |B+B - I| over 2x2 blocks as nested lists of Python complexes: for a
+    few blocks, cheaper than numpy's fixed cost per call.  NaN if an entry is."""
+    terms = []
+    for (a, b), (c, d) in blocks:
+        # both diagonal entries, and one off-diagonal (the other is its conjugate)
+        a_, b_, c_, d_ = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        terms += abs(a_ * a + c_ * c - 1), abs(b_ * b + d_ * d - 1), abs(a_ * b + c_ * d)
+    # max() passes over a NaN that is not its first argument
+    return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,10 +402,6 @@ def _unitarity_deviation(
         # np.maximum, unlike max(), keeps a NaN from either side
         deviation = np.maximum(deviation, np.abs(gram).max())
     return float(deviation)
-
-
-def identity_op(space: ModeSpace, label: str = "identity") -> ElementOp:
-    return ElementOp(space, source=np.arange(space.dimension), label=label)
 
 
 def _identity_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -449,16 +481,13 @@ def _act(op: ElementOp, vector: np.ndarray) -> np.ndarray:
 
 
 def _check_guard(op: ElementOp, amplitudes: np.ndarray) -> None:
-    if op.input_mask is None:
-        return
-    blocked = ~op.input_mask
-    if not blocked.any():
+    blocked = op._blocked
+    if blocked is None or not blocked.size:
         return
     weights = np.abs(amplitudes[blocked])
-    worst = int(np.argmax(weights))
+    worst = int(weights.argmax())
     if weights[worst] > GUARD_TOL:
-        index = int(np.flatnonzero(blocked)[worst])
-        pol, l = op.space.basis_label(index)
+        pol, l = op.space.basis_label(int(blocked[worst]))
         raise TruncationError(
             f"{op.label or 'element'} cannot act on |{pol},{l:+d}>: the image "
             f"would leave the truncation |l| <= {op.space.l_max}"
@@ -474,7 +503,7 @@ def apply(op: ElementOp, state: PhotonState) -> PhotonState:
         )
     _check_guard(op, state.amplitudes)
     amps = _act(op, state.amplitudes)
-    amps = amps / np.linalg.norm(amps)
+    amps = amps / _norm(amps)
     return PhotonState(state.space, amps, survival=state.survival * op.survival_factor)
 
 

@@ -21,7 +21,13 @@ from .elements import (
     qplate,
 )
 from .logic import ORACLE_IDS, _BIT_ORDER, build_oracle, logical_matrix, truth_table
-from .state import UNITARITY_TOL, make_space
+from .state import (
+    UNITARITY_TOL,
+    _identity_entries,
+    _step,
+    _unitarity_deviation,
+    make_space,
+)
 
 
 class CheckResult(NamedTuple):
@@ -63,9 +69,11 @@ def verify_unitarity(l_max: int = 6) -> list[CheckResult]:
         for crosstalk in (0.0, 0.3, 1.0):
             ops.append(hwp(space, WaveplateSpec(theta, APERTURE_L0, crosstalk)))
     results = []
-    identity = np.eye(space.dimension)
+    identity = _identity_entries(space.dimension)
     for op in ops:
-        deviation = float(np.abs(op.matrix.conj().T @ op.matrix - identity).max())
+        # every entry of the op, by its action on the identity: a path apart
+        # from the constructor's check, which sees only the distinct blocks
+        deviation = _unitarity_deviation(*_step(op, *identity), space.dimension)
         results.append(
             CheckResult(
                 f"unitarity {op.label}",

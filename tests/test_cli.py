@@ -231,6 +231,43 @@ def test_bench_compile_error_exits_2(tmp_path, capsys):
     assert "truncation overflow" in err
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_bench_element_count_cap(tmp_path, capsys, command):
+    from spinorbit.dsl import MAX_ELEMENTS
+
+    bench = tmp_path / "long.bench"
+    bench.write_text("lens\n" * MAX_ELEMENTS)
+    code, _, _ = run_cli(capsys, "bench", command, str(bench))
+    assert code == 0
+    bench.write_text("lens\n" * (MAX_ELEMENTS + 1))
+    code, out, err = run_cli(capsys, "bench", command, str(bench))
+    assert code == 2 and out == ""
+    assert f"{MAX_ELEMENTS + 1} elements; the limit is {MAX_ELEMENTS}" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_bench_file_size_cap(tmp_path, capsys, monkeypatch, command):
+    from spinorbit.dsl import MAX_BENCH_BYTES
+
+    bench = tmp_path / "padded.bench"
+    body = "qplate q=1\n#"
+    bench.write_text(body + "x" * (MAX_BENCH_BYTES - len(body)))
+    assert bench.stat().st_size == MAX_BENCH_BYTES
+    code, _, _ = run_cli(capsys, "bench", command, str(bench))
+    assert code == 0
+    bench.write_text(body + "x" * (MAX_BENCH_BYTES + 1 - len(body)))
+
+    def unread(self, *args, **kwargs):
+        raise AssertionError("an oversized file was read")
+
+    monkeypatch.setattr(Path, "read_text", unread)
+    code, out, err = run_cli(capsys, "bench", command, str(bench))
+    assert code == 2 and out == ""
+    assert f"is {MAX_BENCH_BYTES + 1} bytes; the limit is {MAX_BENCH_BYTES}" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bench_missing_file(capsys):
     code, _, err = run_cli(capsys, "bench", "run", "no_such.bench")
     assert code == 1
@@ -259,6 +296,64 @@ def test_verify_unitarity_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "unitarity")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_unitarity_at_the_largest_truncation_holds_no_dense_matrix():
+    import tracemalloc
+
+    from spinorbit.state import MAX_L_MAX, make_space
+    from spinorbit.verify import verify_unitarity
+
+    tracemalloc.start()
+    try:
+        results = verify_unitarity(MAX_L_MAX)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = make_space(MAX_L_MAX).dimension
+    assert len(results) == 26 and all(result.passed for result in results)
+    # one dense complex matrix would take 16 * dim^2 bytes
+    assert peak < dim * dim
+
+
+@pytest.mark.parametrize("l_max", [6, 64])
+def test_verify_unitarity_agrees_with_the_dense_product(monkeypatch, l_max):
+    import numpy as np
+
+    from spinorbit import verify
+
+    ops = []
+    real_step = verify._step
+
+    def recording_step(op, *entries):
+        ops.append(op)
+        return real_step(op, *entries)
+
+    monkeypatch.setattr(verify, "_step", recording_step)
+    results = verify.verify_unitarity(l_max)
+    assert len(ops) == len(results) == 26
+    for op, result in zip(ops, results):
+        dense = np.abs(op.matrix.conj().T @ op.matrix - np.eye(op.space.dimension)).max()
+        deviation = float(result.detail.rpartition("= ")[2])
+        assert result.name == f"unitarity {op.label}" and result.passed
+        assert abs(deviation - dense) <= 1e-15
+
+
+def test_verify_unitarity_checks_what_the_constructor_let_through(monkeypatch):
+    import numpy as np
+
+    from spinorbit import elements, state
+    from spinorbit.verify import verify_unitarity
+
+    # a constructor that passes every block, and a plate that is not unitary
+    monkeypatch.setattr(state, "_blocks_deviation", lambda blocks: 0.0)
+    monkeypatch.setattr(
+        elements, "_hwp_block_circular",
+        lambda theta: np.array([[0.0, 1.0], [1.5, 0.0]], dtype=complex),
+    )
+    results = verify_unitarity(6)
+    failed = [result.name for result in results if not result.passed]
+    assert len(failed) == 16 and all(name.startswith("unitarity hwp") for name in failed)
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

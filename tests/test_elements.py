@@ -99,6 +99,24 @@ def test_qplate_guard_rejects_edge_modes(space):
         apply(op, basis_state(space, RIGHT, -space.l_max + 1))
 
 
+def test_qplate_guard_names_the_first_worst_mode(space):
+    op = qplate(space, QPlateSpec(1), label="QP1")
+    edge = [space.index(LEFT, 5), space.index(LEFT, 6), space.index(RIGHT, -6)]
+    message = (
+        "QP1 cannot act on |{}>: the image would leave the truncation |l| <= 6"
+    )
+    # equal weights: the first guarded mode in index order is named
+    amps = np.zeros(space.dimension, dtype=complex)
+    amps[edge] = 1.0
+    with pytest.raises(TruncationError) as err:
+        apply(op, PhotonState(space, amps / np.linalg.norm(amps)))
+    assert str(err.value) == message.format("L,+5")
+    amps[edge[2]] = 2.0
+    with pytest.raises(TruncationError) as err:
+        apply(op, PhotonState(space, amps / np.linalg.norm(amps)))
+    assert str(err.value) == message.format("R,-6")
+
+
 def test_qplate_shift_larger_than_lattice(space4):
     with pytest.raises(TruncationError):
         qplate(space4, QPlateSpec(5))
@@ -196,6 +214,17 @@ def test_hwp_rejects_non_finite_theta(space, theta):
 
 
 # --- Dove prism and lens -------------------------------------------------------
+
+
+@pytest.mark.parametrize("patched", ["_retarder_block_circular", "_hwp_block_circular"])
+@pytest.mark.parametrize("block", [[[1.0, 0.0], [0.0, 1.5]], [[1.0, 0.0], [0.0, math.nan]]])
+def test_hwp_rejects_a_bad_distinct_block(space, monkeypatch, patched, block):
+    # an l0-only plate checks its two distinct blocks; either may be the bad one
+    import spinorbit.elements as elements
+
+    monkeypatch.setattr(elements, patched, lambda _: np.array(block, dtype=complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        hwp(space, WaveplateSpec(0.3, APERTURE_L0, 0.2))
 
 
 def test_dove_inverts_oam(space):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinorbit import (
+    ElementOp,
     EncodingError,
     GateBrokenError,
     ORACLE_IDS,
@@ -16,9 +17,9 @@ from spinorbit import (
     oracle_class,
     truth_table,
 )
-from spinorbit.elements import QPlateSpec, qplate
-from spinorbit.logic import LOGICAL_STATES, OracleBench
-from spinorbit.state import LEFT, RIGHT
+from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
+from spinorbit.logic import _BIT_ORDER, LOGICAL_STATES, OracleBench
+from spinorbit.state import LEFT, MAX_L_MAX, RIGHT, make_space
 
 # the four defining rows of each oracle, (x, y) -> (x', y')
 EXPECTED_TABLES = {
@@ -169,6 +170,50 @@ def test_squared_benches_are_identity_on_encoded_subspace(space, oracle_id):
     doubled = compose(tuple(bench.elements) + tuple(bench.elements))
     restriction = encoded_restriction(doubled)
     assert np.abs(restriction - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("l_max", [6, 64])
+def test_encoded_restriction_equals_the_dense_view(l_max):
+    space = make_space(l_max)
+    indices = [space.index(*LOGICAL_STATES[bits]) for bits in _BIT_ORDER]
+    for oracle_id in ORACLE_IDS:
+        for eta, crosstalk in ((1.0, 0.0), (0.97, 0.0), (1.0, 0.3), (0.97, 0.77)):
+            elements = build_oracle(space, oracle_id, eta, crosstalk).elements
+            for op in (compose(elements),) + elements:
+                expected = op.matrix[np.ix_(indices, indices)]
+                assert encoded_restriction(op).tobytes() == expected.tobytes()
+    # restrictions that are not symmetric, in both operator forms
+    tilted = hwp(space, WaveplateSpec(0.3))
+    # a 4-cycle of the encoded kets, then an (L, R) mixer on every l
+    cycle = np.arange(space.dimension)
+    cycle[indices] = np.roll(indices, 1)
+    scrambled = ElementOp(
+        space,
+        source=cycle,
+        blocks=np.tile(np.array([[0.6, 0.8j], [0.8j, 0.6]]), (space.n_oam, 1, 1)),
+    )
+    for op in (tilted, scrambled):
+        expected = op.matrix[np.ix_(indices, indices)]
+        assert not np.array_equal(expected, expected.T)
+    for op in (tilted, scrambled, compose((scrambled, tilted, scrambled))):
+        expected = op.matrix[np.ix_(indices, indices)]
+        assert encoded_restriction(op).tobytes() == expected.tobytes()
+
+
+def test_encoded_restriction_at_the_largest_truncation_holds_no_dense_matrix():
+    import tracemalloc
+
+    space = make_space(MAX_L_MAX)
+    composed = compose(build_oracle(space, "zcnot").elements)
+    tracemalloc.start()
+    try:
+        restriction = encoded_restriction(composed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense complex matrix would take 16 * dim^2 bytes
+    assert peak < space.dimension ** 2
+    assert np.array_equal(restriction, logical_matrix("zcnot"))
 
 
 @pytest.mark.parametrize("oracle_id", ORACLE_IDS)

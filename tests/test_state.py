@@ -27,13 +27,19 @@ from spinorbit.state import (
     PhotonState,
     RIGHT,
     V_CIRCULAR,
+    _act,
+    _norm,
     _unitarity_deviation,
 )
 
 
 @pytest.mark.parametrize("l_max,dimension", [(4, 18), (6, 26)])
 def test_make_space_dimension(l_max, dimension):
-    assert make_space(l_max).dimension == dimension
+    space = make_space(l_max)
+    assert space.dimension == dimension and space.n_oam == dimension // 2
+    # the stored sizes are no part of the value
+    assert repr(space) == f"ModeSpace(l_max={l_max})"
+    assert space == make_space(l_max) and hash(space) == hash(make_space(l_max))
 
 
 @pytest.mark.parametrize("l_max", [0, 2, 3])
@@ -206,6 +212,21 @@ def test_norm_preserved_through_random_chains(space):
         assert abs(np.linalg.norm(state.amplitudes) ** 2 - 1.0) <= 1e-12
 
 
+def test_norm_and_apply_keep_the_bits_of_np_linalg_norm(space):
+    rng = np.random.default_rng(11)
+    op = hwp(space, WaveplateSpec(0.3, "l0_only", 0.4))
+    for size in (1, 7, 26, 4002):
+        vector = rng.normal(size=size) + 1j * rng.normal(size=size)
+        assert _norm(vector) == np.linalg.norm(vector)
+    for _ in range(50):
+        amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+        state = PhotonState(space, amps / np.linalg.norm(amps))
+        # apply divides by the norm, then PhotonState divides by it again
+        once = _act(op, state.amplitudes)
+        once = once / np.linalg.norm(once)
+        assert apply(op, state).amplitudes.tobytes() == (once / np.linalg.norm(once)).tobytes()
+
+
 def test_photon_state_requires_normalized_amplitudes(space):
     amps = np.zeros(space.dimension, dtype=complex)
     amps[0] = 0.5
@@ -342,10 +363,35 @@ def test_element_op_rejects_non_unitary_block(space, value):
         ElementOp(space, source=np.arange(space.dimension), blocks=blocks)
 
 
-@pytest.mark.parametrize("source", [[0] * 26, list(range(1, 27)), [0.0] * 26])
+@pytest.mark.parametrize(
+    "source",
+    [
+        [0] * 26,
+        list(range(1, 27)),
+        [0.0] * 26,
+        [-1] + list(range(1, 26)),
+        np.arange(26).reshape(2, 13),
+        # a huge index must be rejected without a bin for it
+        list(range(25)) + [2 ** 40],
+        np.array([2 ** 64 - 1] + list(range(1, 26)), dtype=np.uint64),
+    ],
+)
 def test_element_op_rejects_source_that_is_not_a_permutation(space, source):
     with pytest.raises(ValueError, match="not unitary"):
         ElementOp(space, source=source)
+
+
+def test_element_op_accepts_an_unsigned_permutation(space):
+    source = np.arange(space.dimension, dtype=np.uint64)[::-1]
+    op = ElementOp(space, source=source)
+    assert np.array_equal(op.source, source) and op.source.dtype == np.intp
+
+
+def test_element_op_copies_the_callers_source(space):
+    source = np.arange(space.dimension)[::-1].copy()
+    op = ElementOp(space, source=source)
+    source[:2] = source[1::-1]
+    assert np.array_equal(op.source, np.arange(space.dimension)[::-1])
 
 
 def test_element_op_needs_exactly_one_form(space):

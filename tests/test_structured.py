@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from benchgen import random_bench
@@ -47,6 +48,19 @@ def ref_qplate(space, q):
             else:
                 matrix[src, src] = 1.0
     return matrix, None if mask.all() else mask
+
+
+def masked_qplate_gather(space, shift):
+    """The q-plate's (source, input_mask) by a masked formula over all k,
+    kept as the reference for the factory's slice form."""
+    n = space.n_oam
+    k = np.arange(n)
+    from_r, from_l = k + shift, k - shift
+    r_in = (0 <= from_r) & (from_r < n)
+    l_in = (0 <= from_l) & (from_l < n)
+    source = np.concatenate((np.where(r_in, n + from_r, k), np.where(l_in, from_l, n + k)))
+    mask = np.concatenate((r_in, l_in))
+    return source, None if mask.all() else mask
 
 
 def _lift_blocks(space, block_for_l):
@@ -118,6 +132,19 @@ def test_qplate_equals_dense_reference(l_max, q, eta):
     assert np.array_equal(op.matrix, matrix)
     assert np.array_equal(op.input_mask, mask)
     assert op.survival_factor == eta
+
+
+@pytest.mark.parametrize("l_max", [4, 6, 64, 1000])
+def test_qplate_gather_equals_masked_reference_for_every_shift(l_max):
+    space = make_space(l_max)
+    for shift in range(-2 * l_max, 2 * l_max + 1):
+        op = qplate(space, QPlateSpec(Fraction(shift, 2)))
+        source, mask = masked_qplate_gather(space, shift)
+        assert op.source.tobytes() == source.tobytes(), shift
+        if mask is None:
+            assert op.input_mask is None, shift
+        else:
+            assert op.input_mask.tobytes() == mask.tobytes(), shift
 
 
 @given(L_MAXES, THETAS, st.sampled_from((APERTURE_FULL, APERTURE_L0)), CROSSTALKS)
