@@ -217,7 +217,8 @@ def _read_bench_file(args) -> tuple[Path, str]:
     """The bench file's path (as given, else in the corpus) and its UTF-8 text.
 
     Raises _UnreadableBench with a one-line message naming the file, and
-    CompileError, before reading, for a file above `dsl.MAX_BENCH_BYTES`.
+    CompileError for a file above `dsl.MAX_BENCH_BYTES`, of which at most one
+    byte more than the limit is read (the file's reported size is not trusted).
     """
     # only regular files: a directory of that name is not a bench
     for path in (Path(args.file), _corpus_dir(args.corpus) / args.file):
@@ -226,13 +227,15 @@ def _read_bench_file(args) -> tuple[Path, str]:
     else:
         raise _UnreadableBench(f"bench file not found: {args.file}")
     try:
-        size = path.stat().st_size
-        if size > dsl.MAX_BENCH_BYTES:
+        with path.open("rb") as handle:
+            data = handle.read(dsl.MAX_BENCH_BYTES + 1)
+        if len(data) > dsl.MAX_BENCH_BYTES:
             raise CompileError(
-                f"bench file {path} is {size} bytes; the limit is "
-                f"{dsl.MAX_BENCH_BYTES}"
+                f"bench file {path} is larger than the limit of "
+                f"{dsl.MAX_BENCH_BYTES} bytes"
             )
-        return path, path.read_text(encoding="utf-8")
+        # no newline translation is needed: the parser splits with splitlines
+        return path, data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _UnreadableBench(
             f"bench file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -55,7 +55,7 @@ MEASURE_KINDS = (MEASURE_PBS, MEASURE_OAM_SORTER)
 #: `space lmax=1000` an element holds up to ~160 KB, so this bounds a chain
 #: at ~41 MB
 MAX_ELEMENTS = 256
-#: largest .bench file the CLI reads, checked before reading it
+#: largest .bench file the CLI reads; it reads at most one byte more
 MAX_BENCH_BYTES = 1 << 20
 
 _APERTURE_WORDS = {"all": el.APERTURE_FULL, "l0": el.APERTURE_L0}

@@ -164,7 +164,6 @@ def _retarder_block_circular(crosstalk: float) -> np.ndarray:
 def hwp(space: ModeSpace, spec: WaveplateSpec, label: str | None = None) -> ElementOp:
     """Half-wave plate, full-aperture or acting on the l=0 component only."""
     active = _hwp_block_circular(spec.theta)
-    # per-l index into the distinct blocks: 1 for a full aperture, else 2
     index = np.zeros(space.n_oam, dtype=np.intp)
     if spec.aperture == APERTURE_FULL:
         distinct = np.array((active,), dtype=complex)

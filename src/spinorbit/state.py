@@ -67,8 +67,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeSpace:
-    """Truncated polarization (x) OAM space with the documented basis ordering.
-
+    """Truncated polarization (x) OAM space with the documented basis ordering;
     `n_oam` and `dimension` are stored once, and take no part in equality."""
 
     l_max: int
@@ -158,8 +157,7 @@ class PhotonState:
 
 def _norm(amps: np.ndarray) -> float:
     # np.linalg.norm's arithmetic for a complex vector, without its dispatch
-    re, im = amps.real, amps.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
 
 
 def basis_state(space: ModeSpace, pol: str, l: int) -> PhotonState:
@@ -182,20 +180,19 @@ class ElementOp:
       `compose` builds it straight from the product's entries, with no dense
       matrix; `apply` sums vals * amplitude over the entries.
     * Structured, ``ElementOp(space, source=..., blocks=...)``: U = B P.  The
-      gather P is out[i] = in[source[i]] with `source` (copied) a permutation
-      of range(dim), checked by one `bincount`.  B, when `blocks` is given,
-      applies the 2x2 circular-basis block ``blocks[k]`` to the (L, R) pair of
-      OAM index l = k - l_max, so `blocks` has shape (2*l_max + 1, 2, 2).  Each
-      block is checked unitary, in O(n_oam); `hwp` passes only its distinct
-      blocks (`_from_blocks`).  Every element factory builds this form.
+      gather P is out[i] = in[source[i]]; `source` (copied) is checked to be a
+      permutation of range(dim) by one `bincount`.  B, if given, applies the 2x2
+      circular-basis block ``blocks[k]`` to the (L, R) pair of OAM index
+      l = k - l_max, so `blocks` has shape (2*l_max + 1, 2, 2).  Each block is
+      checked unitary; `hwp` passes only its distinct blocks (`_from_blocks`).
+      Every element factory builds this form.
 
     In both forms `matrix` is a read-only dense view, built on first use.
     The matrix is unitary; a lossy element additionally carries
     survival_factor < 1.  `input_mask`, when present, marks the basis states
     the element is defined on: applying it to a state with amplitude on an
-    unmasked (edge-of-truncation) mode raises TruncationError instead of
-    silently corrupting the result (the unmasked modes are listed once, at
-    construction).  Instances are immutable.
+    unmasked (edge-of-truncation) mode, listed once at construction, raises
+    TruncationError instead of silently corrupting the result.  Immutable.
     """
 
     def __init__(
@@ -235,7 +232,7 @@ class ElementOp:
     def _from_blocks(cls, space: ModeSpace, distinct, index, label: str) -> ElementOp:
         """Identity gather, ``blocks = distinct[index]``; checks only `distinct`."""
         op = cls.__new__(cls)
-        op._setup(space, UNITARY, 1.0, label, None, None, np.arange(space.dimension), None)
+        op._setup(space, UNITARY, 1.0, label, None, None, None, None)
         op._require_unitary(_blocks_deviation(distinct.tolist()))
         object.__setattr__(op, "blocks", _frozen(distinct.take(index, axis=0)))
         return op
@@ -255,14 +252,14 @@ class ElementOp:
             init(self, "source", None)
             init(self, "blocks", None)
         else:
-            src = np.asarray(source)
             # a copy, so that the caller's array cannot change the op
+            src = np.arange(dim) if source is None else np.asarray(source)
             src = src.astype(np.intp) if src.dtype.kind in "iu" else src
             # viewed unsigned a negative index is huge, so the largest bounds both
             # ends; then dim indices filling dim bins, none empty, are a permutation
-            # (argmax and count_nonzero skip the Python layer of .max() and .all())
-            if src.shape != (dim,) or src.dtype != np.intp or (
-                (unsigned := src.view(np.uintp))[unsigned.argmax()] >= dim
+            if source is not None and (
+                src.shape != (dim,) or src.dtype != np.intp
+                or (unsigned := src.view(np.uintp))[unsigned.argmax()] >= dim
                 or np.count_nonzero(np.bincount(src, minlength=dim)) < dim
             ):
                 raise ValueError(
@@ -277,8 +274,7 @@ class ElementOp:
                     raise ValueError(
                         f"blocks have shape {blk.shape}, expected ({space.n_oam}, 2, 2)"
                     )
-                gram = np.matmul(blk.conj().transpose(0, 2, 1), blk)
-                self._require_unitary(np.abs(gram - np.eye(2)).max())
+                self._require_unitary(_blocks_deviation(blk.tolist()))
                 blk = _frozen(blk)
             else:
                 blk = None
@@ -300,7 +296,6 @@ class ElementOp:
                 raise ValueError("input_mask length must equal the dimension")
             input_mask = _frozen(mask)
         init(self, "input_mask", input_mask)
-        # the unmasked modes, which `_check_guard` reads
         init(self, "_blocked", None if input_mask is None else (~input_mask).nonzero()[0])
 
     def _require_unitary(self, deviation) -> None:
@@ -335,8 +330,7 @@ class ElementOp:
 
 
 def _blocks_deviation(blocks: list) -> float:
-    """max |B+B - I| over 2x2 blocks as nested lists of Python complexes: for a
-    few blocks, cheaper than numpy's fixed cost per call.  NaN if an entry is."""
+    """max |B+B - I| over 2x2 blocks given as nested lists; NaN if an entry is."""
     terms = []
     for (a, b), (c, d) in blocks:
         # both diagonal entries, and one off-diagonal (the other is its conjugate)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -133,7 +134,7 @@ def test_bench_unreadable_file_exits_1(tmp_path, capsys, monkeypatch, command):
     def denied(self, *args, **kwargs):
         raise PermissionError(13, "Permission denied", str(self))
 
-    monkeypatch.setattr(Path, "read_text", denied)
+    monkeypatch.setattr(Path, "open", denied)
     code, out, err = run_cli(capsys, "bench", command, str(locked))
     assert code == 1
     assert out == ""
@@ -247,7 +248,7 @@ def test_bench_element_count_cap(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
-def test_bench_file_size_cap(tmp_path, capsys, monkeypatch, command):
+def test_bench_file_size_cap(tmp_path, capsys, command):
     from spinorbit.dsl import MAX_BENCH_BYTES
 
     bench = tmp_path / "padded.bench"
@@ -257,15 +258,49 @@ def test_bench_file_size_cap(tmp_path, capsys, monkeypatch, command):
     code, _, _ = run_cli(capsys, "bench", command, str(bench))
     assert code == 0
     bench.write_text(body + "x" * (MAX_BENCH_BYTES + 1 - len(body)))
-
-    def unread(self, *args, **kwargs):
-        raise AssertionError("an oversized file was read")
-
-    monkeypatch.setattr(Path, "read_text", unread)
     code, out, err = run_cli(capsys, "bench", command, str(bench))
     assert code == 2 and out == ""
-    assert f"is {MAX_BENCH_BYTES + 1} bytes; the limit is {MAX_BENCH_BYTES}" in err
+    assert f"is larger than the limit of {MAX_BENCH_BYTES} bytes" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_bench_file_size_cap_ignores_reported_size(tmp_path, capsys, monkeypatch, command):
+    # a file may report fewer bytes than it holds (procfs reports 0) or grow
+    # after a stat, so the cap must hold on what is read
+    from spinorbit.dsl import MAX_BENCH_BYTES
+
+    bench = tmp_path / "padded.bench"
+    bench.write_text("qplate q=1\n#" + "x" * (4 * MAX_BENCH_BYTES))
+    real_stat = Path.stat
+
+    def understated(self, *args, **kwargs):
+        fields = tuple(real_stat(self, *args, **kwargs))
+        return os.stat_result(fields[:6] + (0,) + fields[7:])
+
+    monkeypatch.setattr(Path, "stat", understated)
+    assert bench.is_file() and bench.stat().st_size == 0
+    read_sizes = []
+    real_open = Path.open
+
+    def spied_open(self, *args, **kwargs):
+        handle = real_open(self, *args, **kwargs)
+        real_read = handle.read
+        handle.read = lambda size=-1: read_sizes.append(size) or real_read(size)
+        return handle
+
+    monkeypatch.setattr(Path, "open", spied_open)
+    code, out, err = run_cli(capsys, "bench", command, str(bench))
+    assert code == 2 and out == ""
+    assert f"is larger than the limit of {MAX_BENCH_BYTES} bytes" in err
+    assert read_sizes == [MAX_BENCH_BYTES + 1]
+
+
+def test_bench_file_with_cr_line_ends_parses(tmp_path, capsys):
+    bench = tmp_path / "crlf.bench"
+    bench.write_bytes(b"space lmax=6\r\nlens\rmeasure pbs\r\n")
+    code, out, _ = run_cli(capsys, "bench", "check", str(bench))
+    assert code == 0, out
 
 
 def test_bench_missing_file(capsys):

@@ -363,6 +363,14 @@ def test_element_op_rejects_non_unitary_block(space, value):
         ElementOp(space, source=np.arange(space.dimension), blocks=blocks)
 
 
+def test_element_op_rejects_block_with_unit_but_skew_columns(space):
+    # both columns have norm 1, so only the off-diagonal of B+B shows the fault
+    blocks = np.tile(np.eye(2, dtype=complex), (space.n_oam, 1, 1))
+    blocks[5] = np.full((2, 2), 0.5 ** 0.5)
+    with pytest.raises(ValueError, match=r"not unitary \(max \|U\+U - I\| = 1\.000e\+00\)"):
+        ElementOp(space, source=np.arange(space.dimension), blocks=blocks)
+
+
 @pytest.mark.parametrize(
     "source",
     [
