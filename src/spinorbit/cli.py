@@ -149,8 +149,9 @@ def cmd_deutsch(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.shots is not None and args.shots < 0:
-        print(f"spinorbit deutsch: --shots must be >= 0, got {args.shots}", file=sys.stderr)
+    if args.shots is not None and not 0 <= args.shots <= deutsch.MAX_SHOTS:
+        bound = ">= 0" if args.shots < 0 else f"<= {deutsch.MAX_SHOTS}"
+        print(f"spinorbit deutsch: --shots must be {bound}, got {args.shots}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed < 0:
         print(f"spinorbit deutsch: --seed must be >= 0, got {args.seed}", file=sys.stderr)

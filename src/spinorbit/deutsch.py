@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dsl import Preparation
 from .logic import BALANCED, CONSTANT, ORACLE_IDS, build_oracle
 from .state import (
     DEFAULT_L_MAX,
@@ -42,15 +43,13 @@ INCONCLUSIVE = "inconclusive"
 
 DEFAULT_THRESHOLD = 0.99
 
+#: most shots one draw can tally: numpy's multinomial counts in int64
+MAX_SHOTS = 2**63 - 1
+
 
 def prepare_input(space: ModeSpace) -> PhotonState:
     """Prepared probe state: amplitudes (+1, +1, -1, -1)/2 on (L,+2), (L,-2), (R,+2), (R,-2)."""
-    amps = np.zeros(space.dimension, dtype=complex)
-    amps[space.index(LEFT, +2)] = 0.5
-    amps[space.index(LEFT, -2)] = 0.5
-    amps[space.index(RIGHT, +2)] = -0.5
-    amps[space.index(RIGHT, -2)] = -0.5
-    return PhotonState(space, amps)
+    return Preparation("V", (2, -2)).initial_state(space)
 
 
 def expected_output(space: ModeSpace, oracle_id: str) -> PhotonState:
@@ -198,18 +197,24 @@ class RunReport:
         return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.ndarray:
     """Multinomial tallies over outcome categories, reproducible per seed.
 
     The draw uses the first stream spawned from SeedSequence(seed).
     """
+    if not (_is_int(shots) and 0 <= shots <= MAX_SHOTS):
+        raise ValueError(f"shots must be an integer in [0, {MAX_SHOTS}], got {shots!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     probs = np.asarray(probabilities, dtype=float)
     if (probs < -1e-12).any():
         raise ValueError("negative outcome probability")
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
     (stream,) = np.random.SeedSequence(seed).spawn(1)
     return np.random.default_rng(stream).multinomial(shots, probs)
 

@@ -19,10 +19,13 @@ digits so render/parse round-trips are lossless.
 
 Parsing is total: every invalid line yields exactly one positioned error and
 parsing continues, so a single pass reports every problem in the file.
-Compilation then runs the semantic checks, most importantly a symbolic trace
-of which |pol, l> modes the prepared light can occupy at each element, which
-rejects chains that would push amplitude outside the truncation and names the
-offending element.
+Compilation then runs the semantic checks.  The last builds the elements in
+order and pushes the |pol, l> modes the light can occupy through each op: a
+gather moves them by `source`, a 2x2 block entry above `GUARD_TOL` carries one
+from its column to its row, and the first element that would push an occupied
+mode outside the truncation is named.  So, as at run time, an `l0` waveplate
+with crosstalk within ~6.4e-13 of 0 or 1 adds no mode; and an l_max above the
+cap fails on the cap before any element is built.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import elements as el
-from .errors import BenchParseError, CompileError
+from .errors import BenchParseError, CompileError, TruncationError
 from .state import (
     DEFAULT_L_MAX,
+    GUARD_TOL,
     LEFT,
+    MIN_L_MAX,
     RIGHT,
     ElementOp,
     ModeSpace,
@@ -380,15 +385,11 @@ class Preparation:
         V preparation uses (|L> - |R>)/sqrt(2), i.e. i|V>, so prepared states
         carry the same overall phase the analytic input/output states use.
         """
-        if self.axis == "V":
-            pair = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-        else:
-            pair = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        weight = 1.0 / math.sqrt(len(self.oams))
+        value = 1.0 / math.sqrt(2.0) * (1.0 / math.sqrt(len(self.oams)))
         amps = np.zeros(space.dimension, dtype=complex)
         for l in self.oams:
-            amps[space.index(LEFT, l)] = pair[0] * weight
-            amps[space.index(RIGHT, l)] = pair[1] * weight
+            amps[space.index(LEFT, l)] = value
+            amps[space.index(RIGHT, l)] = -value if self.axis == "V" else value
         return PhotonState(space, amps)
 
 
@@ -405,64 +406,29 @@ def _element_name(index: int, stmt: ElementStmt) -> str:
     return f"element {index} '{stmt.keyword}'{where}"
 
 
-def _trace_support(
-    bench: BenchFile, prep: Preparation, l_max: int
-) -> None:
-    """Symbolically propagate the set of occupiable |pol, l> modes through the chain.
-
-    Raises CompileError naming the first element whose action would move an
-    occupiable mode outside |l| <= l_max.
-    """
-    support = {(pol, l) for pol in (LEFT, RIGHT) for l in prep.oams}
-    for index, stmt in enumerate(bench.elements, start=1):
-        if isinstance(stmt, QPlateStmt):
-            shift = int(2 * stmt.q)
-            new_support = set()
-            for pol, l in sorted(support):
-                target = l + shift if pol == LEFT else l - shift
-                flipped = RIGHT if pol == LEFT else LEFT
-                if abs(target) > l_max:
-                    raise CompileError(
-                        f"truncation overflow at {_element_name(index, stmt)}: "
-                        f"|{pol},{l:+d}> -> |{flipped},{target:+d}> leaves "
-                        f"|l| <= {l_max}"
-                    )
-                new_support.add((flipped, target))
-            support = new_support
-        elif isinstance(stmt, HwpStmt):
-            new_support = set()
-            for pol, l in support:
-                flipped = RIGHT if pol == LEFT else LEFT
-                if stmt.aperture == el.APERTURE_FULL or l == 0:
-                    new_support.add((flipped, l))
-                elif stmt.crosstalk == 0.0:
-                    new_support.add((pol, l))
-                elif stmt.crosstalk == 1.0:
-                    new_support.add((flipped, l))
-                else:
-                    new_support.add((pol, l))
-                    new_support.add((flipped, l))
-            support = new_support
-        elif isinstance(stmt, DoveStmt):
-            support = {(pol, -l) for pol, l in support}
-        # lens: no effect on mode content
-
-
-def _build_element(space: ModeSpace, index: int, stmt: ElementStmt) -> ElementOp:
-    name = f"{stmt.keyword}[{index}]"
+def _element_spec(stmt: ElementStmt) -> tuple:
+    """(factory, spec) of a statement, spec None for a lens; the spec checks it."""
     if isinstance(stmt, QPlateStmt):
-        return el.qplate(space, el.QPlateSpec(stmt.q, stmt.eta), label=name)
+        return el.qplate, el.QPlateSpec(stmt.q, stmt.eta)
     if isinstance(stmt, HwpStmt):
-        return el.hwp(
-            space, el.WaveplateSpec(stmt.theta, stmt.aperture, stmt.crosstalk), label=name
-        )
+        return el.hwp, el.WaveplateSpec(stmt.theta, stmt.aperture, stmt.crosstalk)
     if isinstance(stmt, DoveStmt):
-        return el.dove_prism(space, el.DovePrismSpec(stmt.angle), label=name)
-    return el.lens(space, label=name)
+        return el.dove_prism, el.DovePrismSpec(stmt.angle)
+    return el.lens, None
+
+
+def _build_element(space: ModeSpace, label: str, factory, spec) -> ElementOp:
+    """The op of an `_element_spec` pair, under `label`."""
+    return factory(space, label=label) if spec is None else factory(space, spec, label=label)
 
 
 def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledBench:
-    """Semantic validation plus construction of the executable chain."""
+    """Semantic validation plus construction of the executable chain.
+
+    An occupied mode leaves the truncation at an element whose input mask
+    excludes it, or that moves it beyond `l_max` (below the space's l_max only
+    under the `MIN_L_MAX` floor).  Only a q-plate moves l, by its shift.
+    """
     if len(bench.elements) > MAX_ELEMENTS:
         raise CompileError(
             f"bench has {len(bench.elements)} elements; the limit is {MAX_ELEMENTS}"
@@ -483,21 +449,45 @@ def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledB
             raise CompileError(
                 f"prepared OAM l={l:+d} exceeds the truncation |l| <= {l_max}"
             )
-    # Validate element parameters before tracing, so range errors name elements.
+    # Validate element parameters before building, so range errors name elements.
+    specs = []
     for index, stmt in enumerate(bench.elements, start=1):
         try:
-            if isinstance(stmt, QPlateStmt):
-                el.QPlateSpec(stmt.q, stmt.eta)
-            elif isinstance(stmt, HwpStmt):
-                el.WaveplateSpec(stmt.theta, stmt.aperture, stmt.crosstalk)
-            elif isinstance(stmt, DoveStmt):
-                el.DovePrismSpec(stmt.angle)
+            specs.append(_element_spec(stmt))
         except ValueError as exc:
             raise CompileError(f"{_element_name(index, stmt)}: {exc}") from exc
-    _trace_support(bench, prep, l_max)
-    mode_space = space if space is not None else make_space(l_max)
-    ops = tuple(
-        _build_element(mode_space, index, stmt)
-        for index, stmt in enumerate(bench.elements, start=1)
-    )
-    return CompiledBench(mode_space, prep, ops, bench.measure)
+    # an l_max above the cap fails here; one below the floor is checked on the
+    # smallest space, where images beyond l_max leave too, then fails on the floor
+    mode_space = space if space is not None else make_space(max(l_max, MIN_L_MAX))
+    n = mode_space.n_oam
+    occupied = np.zeros((2, n), dtype=bool)
+    occupied[:, np.add(prep.oams, mode_space.l_max)] = True
+    occupied = occupied.ravel()
+    beyond = abs(np.arange(2 * n) % n - mode_space.l_max) > l_max
+    ops = []
+    for index, (stmt, (factory, spec)) in enumerate(zip(bench.elements, specs), start=1):
+        try:
+            op = _build_element(mode_space, f"{stmt.keyword}[{index}]", factory, spec)
+        except TruncationError:  # a q-plate shift above 2 * l_max: every mode leaves
+            leaving = occupied
+        else:
+            moved = occupied[op.source]
+            mask = op.input_mask
+            leaving = np.zeros(2 * n, dtype=bool) if mask is None else occupied & ~mask
+            if l_max < mode_space.l_max:
+                leaving[op.source[moved & beyond]] = True
+        if np.count_nonzero(leaving):
+            pol, l = mode_space.basis_label(int(leaving.argmax()))
+            shift = spec.oam_shift
+            target, flipped = (l + shift, RIGHT) if pol == LEFT else (l - shift, LEFT)
+            raise CompileError(
+                f"truncation overflow at {_element_name(index, stmt)}: "
+                f"|{pol},{l:+d}> -> |{flipped},{target:+d}> leaves |l| <= {l_max}"
+            )
+        if op.blocks is not None:
+            moved = np.einsum("kpq,qk->pk", np.abs(op.blocks) > GUARD_TOL, moved.reshape(2, n))
+        occupied = moved.ravel()
+        ops.append(op)
+    if l_max < MIN_L_MAX:
+        make_space(l_max)
+    return CompiledBench(mode_space, prep, tuple(ops), bench.measure)

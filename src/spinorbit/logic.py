@@ -9,12 +9,9 @@ the assignment is deliberately non-factorizable:
 Decoding is therefore defined only on these four joint kets, never per
 subsystem.  The four one-query oracles are realized as element chains that
 share the two q-plates and two lenses; waveplates and the Dove prism are
-inserted or removed to select the oracle:
-
-    identity : QP1 L1 L2 QP2
-    not      : QP1 L1 L2 QP2 HWP3 DP
-    cnot     : QP1 L1 HWP1 L2 QP2
-    zcnot    : HWP2 QP1 L1 HWP1 L2 QP2 HWP3
+inserted or removed to select the oracle (`ORACLE_CHAINS`).  `oracle_recipe`
+writes each chain once, as labelled `.bench` statements that `build_oracle`
+builds as `compile_bench` would and the corpus files repeat.
 """
 
 from __future__ import annotations
@@ -24,16 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elements import (
-    APERTURE_FULL,
-    APERTURE_L0,
-    QPlateSpec,
-    WaveplateSpec,
-    dove_prism,
-    hwp,
-    lens,
-    qplate,
-)
+from . import dsl
+from .elements import APERTURE_L0, WaveplateSpec
 from .errors import EncodingError, GateBrokenError
 from .state import (
     LEFT,
@@ -116,39 +105,40 @@ class OracleBench:
     inserted: frozenset[str]
 
 
+#: each oracle's element labels in physical order
+ORACLE_CHAINS = {
+    "identity": ("QP1", "L1", "L2", "QP2"),
+    "not": ("QP1", "L1", "L2", "QP2", "HWP3", "DP"),
+    "cnot": ("QP1", "L1", "HWP1", "L2", "QP2"),
+    "zcnot": ("HWP2", "QP1", "L1", "HWP1", "L2", "QP2", "HWP3"),
+}
+#: the recipe's charge and parameter-free statements (all immutable)
+_Q1, _LENS, _HWP, _DOVE = Fraction(1), dsl.LensStmt(), dsl.HwpStmt(0.0), dsl.DoveStmt()
+
+
+def oracle_recipe(
+    oracle_id: str, eta: float = 1.0, crosstalk: float = 0.0
+) -> tuple[tuple[str, dsl.ElementStmt], ...]:
+    """(label, statement) pairs of an oracle's chain, in physical order."""
+    if oracle_id not in ORACLE_IDS:
+        raise ValueError(f"unknown oracle {oracle_id!r}; expected one of {ORACLE_IDS}")
+    qp, hwp1 = dsl.QPlateStmt(_Q1, eta), dsl.HwpStmt(0.0, APERTURE_L0, crosstalk)
+    stmts = {"QP1": qp, "QP2": qp, "L1": _LENS, "L2": _LENS, "HWP1": hwp1, "HWP2": _HWP,
+             "HWP3": _HWP, "DP": _DOVE}
+    return tuple([(label, stmts[label]) for label in ORACLE_CHAINS[oracle_id]])
+
+
 def build_oracle(
     space: ModeSpace, oracle_id: str, eta: float = 1.0, crosstalk: float = 0.0
 ) -> OracleBench:
-    """Assemble the element chain for an oracle in physical order.
-
-    The two q-plates and two lenses are always present; HWP1/HWP2/HWP3 and the
-    Dove prism are inserted per the oracle recipe.
-    """
-    if oracle_id not in ORACLE_IDS:
-        raise ValueError(f"unknown oracle {oracle_id!r}; expected one of {ORACLE_IDS}")
-    qspec = QPlateSpec(Fraction(1), eta)
-    full_hwp = WaveplateSpec(0.0, APERTURE_FULL)
-    chain: list[ElementOp] = []
-    inserted: set[str] = set()
-    if oracle_id == "zcnot":
-        chain.append(hwp(space, full_hwp, label="HWP2"))
-        inserted.add("HWP2")
-    chain.append(qplate(space, qspec, label="QP1"))
-    chain.append(lens(space, label="L1"))
-    if oracle_id in ("cnot", "zcnot"):
-        chain.append(
-            hwp(space, WaveplateSpec(0.0, APERTURE_L0, crosstalk), label="HWP1")
-        )
-        inserted.add("HWP1")
-    chain.append(lens(space, label="L2"))
-    chain.append(qplate(space, qspec, label="QP2"))
-    if oracle_id in ("not", "zcnot"):
-        chain.append(hwp(space, full_hwp, label="HWP3"))
-        inserted.add("HWP3")
-    if oracle_id == "not":
-        chain.append(dove_prism(space, label="DP"))
-        inserted.add("DP")
-    return OracleBench(oracle_id, tuple(chain), frozenset(inserted))
+    """Build the chain of `oracle_recipe`, each element under its label."""
+    recipe = oracle_recipe(oracle_id, eta, crosstalk)
+    chain = tuple([dsl._build_element(space, label, *dsl._element_spec(stmt))
+                   for label, stmt in recipe])
+    # only cnot and zcnot insert HWP1, the plate with crosstalk; all four check it
+    WaveplateSpec(0.0, APERTURE_L0, crosstalk)
+    inserted = frozenset(ORACLE_CHAINS[oracle_id]) - frozenset(ORACLE_CHAINS["identity"])
+    return OracleBench(oracle_id, chain, inserted)
 
 
 def truth_table(

@@ -284,6 +284,43 @@ def test_sample_counts_validation():
         sample_counts([-0.1, 1.1], 10, seed=0)
 
 
+@pytest.mark.parametrize("crosstalk", [math.nan, math.inf, -math.inf, 1.5, -0.1])
+@pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+def test_every_oracle_rejects_crosstalk_outside_unit_interval(oracle_id, crosstalk):
+    with pytest.raises(ValueError, match=r"crosstalk must lie in \[0, 1\], got"):
+        build_oracle(make_space(6), oracle_id, crosstalk=crosstalk)
+    with pytest.raises(ValueError, match=r"crosstalk must lie in \[0, 1\], got"):
+        run(oracle_id, crosstalk=crosstalk)
+
+
+def test_eta_is_checked_before_crosstalk():
+    with pytest.raises(ValueError, match="eta"):
+        run("identity", eta=0.0, crosstalk=2.0)
+
+
+@pytest.mark.parametrize(
+    "shots,seed,name",
+    [
+        (2.5, 0, "shots"),
+        (True, 0, "shots"),
+        (-1, 0, "shots"),
+        (2**63, 0, "shots"),
+        (5, -1, "seed"),
+        (5, 1.0, "seed"),
+    ],
+)
+def test_sample_counts_names_the_bad_parameter(shots, seed, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sample_counts([0.5, 0.5], shots, seed=seed)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        run("identity", shots=shots, seed=seed)
+
+
+def test_sample_counts_accepts_the_largest_and_numpy_counts():
+    assert sample_counts([0.5, 0.5], 2**63 - 1, seed=0).sum() == 2**63 - 1
+    assert sample_counts([0.5, 0.5], np.int64(10), seed=np.uint8(3)).sum() == 10
+
+
 def test_run_rejects_unknown_oracle_and_measurement():
     with pytest.raises(ValueError):
         run("parity")

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from spinorbit import (
     truth_table,
 )
 from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
-from spinorbit.logic import _BIT_ORDER, LOGICAL_STATES, OracleBench
+from spinorbit.dsl import Preparation, compile_bench, parse
+from spinorbit.logic import _BIT_ORDER, LOGICAL_STATES, OracleBench, oracle_recipe
 from spinorbit.state import LEFT, MAX_L_MAX, RIGHT, make_space
 
 # the four defining rows of each oracle, (x, y) -> (x', y')
@@ -119,6 +122,23 @@ def test_build_oracle_recipes(space):
         "HWP2", "QP1", "L1", "HWP1", "L2", "QP2", "HWP3",
     ]
     assert zcnot.inserted == frozenset({"HWP1", "HWP2", "HWP3"})
+
+
+@pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+def test_corpus_file_has_the_statements_of_its_recipe(oracle_id):
+    text = (resources.files("spinorbit") / "benches" / f"{oracle_id}.bench").read_text()
+    bench = parse(text)
+    assert bench.elements == tuple(stmt for _, stmt in oracle_recipe(oracle_id))
+    # and the file prepares the probe state `run` uses
+    assert compile_bench(bench).preparation == Preparation("V", (2, -2))
+
+
+def test_build_oracle_builds_its_recipe_statements(space):
+    recipe = oracle_recipe("zcnot", eta=0.97, crosstalk=0.3)
+    built = compile_bench(parse("\n".join(stmt.render() for _, stmt in recipe)), space)
+    for op, reference in zip(build_oracle(space, "zcnot", 0.97, 0.3).elements, built.elements):
+        assert op.survival_factor == reference.survival_factor
+        assert np.array_equal(op.matrix, reference.matrix)
 
 
 def test_build_oracle_rejects_unknown(space):
