@@ -247,11 +247,6 @@ def _read_bench_file(args) -> tuple[Path, str]:
         ) from None
 
 
-def _print_parse_errors(errors) -> None:
-    for error in errors:
-        print(f"error: {error}", file=sys.stderr)
-
-
 class _BadInputSpec(ValueError):
     pass
 
@@ -268,22 +263,10 @@ def _parse_input_ket(spec: str, space) -> PhotonState:
 
 
 def cmd_bench_run(args) -> int:
-    try:
-        path, text = _read_bench_file(args)
-    except _UnreadableBench as exc:
-        print(f"spinorbit bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    bench, errors = dsl.parse_with_errors(text)
-    if errors:
-        _print_parse_errors(errors)
-        return EXIT_USAGE
-    compiled = dsl.compile_bench(bench)
+    path, text = _read_bench_file(args)
+    compiled = dsl.compile_bench(dsl.parse(text))
     if args.input is not None:
-        try:
-            initial = _parse_input_ket(args.input, compiled.space)
-        except _BadInputSpec as exc:
-            print(f"spinorbit bench: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        initial = _parse_input_ket(args.input, compiled.space)
         input_desc = args.input
     else:
         initial = compiled.preparation.initial_state(compiled.space)
@@ -341,27 +324,22 @@ def cmd_bench_run(args) -> int:
 
 
 def cmd_bench_check(args) -> int:
-    try:
-        path, text = _read_bench_file(args)
-    except _UnreadableBench as exc:
-        print(f"spinorbit bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    path, text = _read_bench_file(args)
     bench, errors = dsl.parse_with_errors(text)
     if errors:
-        if args.json:
-            print(json.dumps({
-                "schema_version": SCHEMA_VERSION,
-                "command": "bench check",
-                "file": str(path),
-                "ok": False,
-                "errors": [
-                    {"line": e.line, "column": e.column, "message": e.message,
-                     "token": e.token}
-                    for e in errors
-                ],
-            }, indent=2))
-        else:
-            _print_parse_errors(errors)
+        if not args.json:
+            raise BenchParseError(errors)
+        print(json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "command": "bench check",
+            "file": str(path),
+            "ok": False,
+            "errors": [
+                {"line": e.line, "column": e.column, "message": e.message,
+                 "token": e.token}
+                for e in errors
+            ],
+        }, indent=2))
         return EXIT_USAGE
     compiled = dsl.compile_bench(bench)
     summary = {
@@ -406,7 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BenchParseError as exc:
-        _print_parse_errors(exc.errors)
+        for error in exc.errors:
+            print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    except (_UnreadableBench, _BadInputSpec) as exc:
+        print(f"spinorbit bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SpinOrbitError as exc:
         print(f"spinorbit: {exc}", file=sys.stderr)

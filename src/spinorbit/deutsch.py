@@ -47,9 +47,13 @@ DEFAULT_THRESHOLD = 0.99
 MAX_SHOTS = 2**63 - 1
 
 
+#: the probe's recipe, made once: a Preparation checks its fields when made
+_PROBE = Preparation("V", (2, -2))
+
+
 def prepare_input(space: ModeSpace) -> PhotonState:
     """Prepared probe state: amplitudes (+1, +1, -1, -1)/2 on (L,+2), (L,-2), (R,+2), (R,-2)."""
-    return Preparation("V", (2, -2)).initial_state(space)
+    return _PROBE.initial_state(space)
 
 
 def expected_output(space: ModeSpace, oracle_id: str) -> PhotonState:

@@ -17,6 +17,12 @@ Rationals accept `p/q` or decimal form; 2q-integrality is checked on the
 exact rational at compile time.  Floats are rendered with 17 significant
 digits so render/parse round-trips are lossless.
 
+An element's keys live in one place, its statement class: the class names its
+`keyword`, its `keys` table {key: value-kind} in the order of its spec's
+fields, and its `required` keys.  The parser, `render` and `_element_spec`
+all read that declaration, so adding an element means one statement class
+(a member of `ElementStmt`) plus one `_FACTORIES` entry.
+
 Parsing is total: every invalid line yields exactly one positioned error and
 parsing continues, so a single pass reports every problem in the file.
 Compilation then runs the semantic checks.  The last builds the elements in
@@ -30,7 +36,6 @@ cap fails on the cap before any element is built.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
@@ -71,6 +76,10 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+#: how `_Element.render` prints each value-kind of an element key
+_RENDERERS = {"rational": format, "float": _fmt, "aperture": _APERTURE_NAMES.__getitem__}
+
+
 @dataclass(frozen=True)
 class ParseError:
     line: int
@@ -82,61 +91,63 @@ class ParseError:
         return f"line {self.line}, col {self.column}: {self.message} (got {self.token!r})"
 
 
+class _Element:
+    """Base of the element statements: `keyword`, `keys` and `required` drive parse and render."""
+
+    keys: dict[str, str] = {}
+    required: tuple[str, ...] = ()
+
+    def render(self) -> str:
+        words = [self.keyword]
+        for key, kind in self.keys.items():
+            value = getattr(self, key)
+            # the dataclass leaves each default behind as a class attribute
+            if key in self.required or value != getattr(type(self), key):
+                words.append(f"{key}={_RENDERERS[kind](value)}")
+        return " ".join(words)
+
+
 @dataclass(frozen=True)
-class QPlateStmt:
+class QPlateStmt(_Element):
     q: Fraction
     eta: float = 1.0
     line: int = field(default=0, compare=False)
 
     keyword = "qplate"
-
-    def render(self) -> str:
-        text = f"qplate q={self.q}"
-        if self.eta != 1.0:
-            text += f" eta={_fmt(self.eta)}"
-        return text
+    keys = {"q": "rational", "eta": "float"}
+    required = ("q",)
 
 
 @dataclass(frozen=True)
-class HwpStmt:
+class HwpStmt(_Element):
     theta: float
     aperture: str = el.APERTURE_FULL
     crosstalk: float = 0.0
     line: int = field(default=0, compare=False)
 
     keyword = "hwp"
-
-    def render(self) -> str:
-        text = f"hwp theta={_fmt(self.theta)}"
-        if self.aperture != el.APERTURE_FULL:
-            text += f" aperture={_APERTURE_NAMES[self.aperture]}"
-        if self.crosstalk != 0.0:
-            text += f" crosstalk={_fmt(self.crosstalk)}"
-        return text
+    keys = {"theta": "float", "aperture": "aperture", "crosstalk": "float"}
+    required = ("theta",)
 
 
 @dataclass(frozen=True)
-class DoveStmt:
+class DoveStmt(_Element):
     angle: float = 0.0
     line: int = field(default=0, compare=False)
 
     keyword = "dove"
-
-    def render(self) -> str:
-        return "dove" if self.angle == 0.0 else f"dove angle={_fmt(self.angle)}"
+    keys = {"angle": "float"}
 
 
 @dataclass(frozen=True)
-class LensStmt:
+class LensStmt(_Element):
     line: int = field(default=0, compare=False)
 
     keyword = "lens"
 
-    def render(self) -> str:
-        return "lens"
-
 
 ElementStmt = QPlateStmt | HwpStmt | DoveStmt | LensStmt
+_ELEMENT_STMTS = {stmt.keyword: stmt for stmt in ElementStmt.__args__}
 
 
 @dataclass(frozen=True)
@@ -157,17 +168,6 @@ def _tokens(code: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", code)]
 
 
-def _split_kv(token: str) -> tuple[str, str] | None:
-    key, sep, value = token.partition("=")
-    if not sep or not key:
-        return None
-    return key, value
-
-
-def _parse_int(value: str) -> int:
-    return int(value, 10)
-
-
 def _parse_float(value: str) -> float:
     out = float(value)
     if not math.isfinite(out):
@@ -175,19 +175,22 @@ def _parse_float(value: str) -> float:
     return out
 
 
-def _parse_rational(value: str) -> Fraction:
-    return Fraction(value)
-
-
 def _parse_int_list(value: str) -> tuple[int, ...]:
-    return tuple(_parse_int(part) for part in value.split(","))
+    return tuple(int(part) for part in value.split(","))
+
+
+def _parse_aperture(value: str) -> str:
+    if value not in _APERTURE_WORDS:
+        raise ValueError("bad aperture")
+    return _APERTURE_WORDS[value]
 
 
 _VALUE_PARSERS = {
-    "int": _parse_int,
+    "int": int,
     "float": _parse_float,
-    "rational": _parse_rational,
+    "rational": Fraction,
     "int list": _parse_int_list,
+    "aperture": _parse_aperture,
 }
 
 
@@ -207,10 +210,9 @@ def _take_kv(
     """Parse `key=value` tokens against {key: value-kind}; raise on the first problem."""
     seen: dict = {}
     for token, col in tokens:
-        kv = _split_kv(token)
-        if kv is None:
+        key, sep, raw = token.partition("=")
+        if not sep or not key:
             raise _LineError(col, "expected key=value", token)
-        key, raw = kv
         if key not in spec:
             raise _LineError(col, f"unknown key {key!r}", token)
         if key in seen:
@@ -227,9 +229,15 @@ def _take_kv(
     return seen
 
 
-def _parse_statement(tokens: list[tuple[str, int]]):
+def _parse_statement(tokens: list[tuple[str, int]], line: int):
+    """(kind, value) of one statement: "element" and its statement, else the directive's name."""
     keyword, col = tokens[0]
     rest = tokens[1:]
+    stmt = _ELEMENT_STMTS.get(keyword)
+    if stmt is not None:
+        if rest and not stmt.keys:
+            raise _LineError(rest[0][1], f"{keyword} takes no parameters", rest[0][0])
+        return "element", stmt(**_take_kv(rest, stmt.keys, stmt.required, col), line=line)
     if keyword == "space":
         values = _take_kv(rest, {"lmax": "int"}, ("lmax",), col)
         return "space", values["lmax"]
@@ -241,48 +249,17 @@ def _parse_statement(tokens: list[tuple[str, int]]):
             if len(rest) != 2 or rest[1][0] not in ("H", "V"):
                 bad = rest[1] if len(rest) > 1 else (sub, sub_col)
                 raise _LineError(bad[1], "expected polarizer axis 'H' or 'V'", bad[0])
-            return "polarizer", rest[1][0]
+            return "prepare polarizer", rest[1][0]
         if sub == "hologram":
             values = _take_kv(rest[1:], {"oam": "int list"}, ("oam",), sub_col)
-            return "hologram", values["oam"]
+            return "prepare hologram", values["oam"]
         raise _LineError(sub_col, "expected 'polarizer' or 'hologram'", sub)
-    if keyword == "qplate":
-        values = _take_kv(rest, {"q": "rational", "eta": "float"}, ("q",), col)
-        return "element", QPlateStmt(values["q"], values.get("eta", 1.0))
-    if keyword == "hwp":
-        values = _take_kv(
-            rest,
-            {"theta": "float", "aperture": "aperture", "crosstalk": "float"},
-            ("theta",),
-            col,
-        )
-        return "element", HwpStmt(
-            values["theta"],
-            values.get("aperture", el.APERTURE_FULL),
-            values.get("crosstalk", 0.0),
-        )
-    if keyword == "dove":
-        values = _take_kv(rest, {"angle": "float"}, (), col)
-        return "element", DoveStmt(values.get("angle", 0.0))
-    if keyword == "lens":
-        if rest:
-            raise _LineError(rest[0][1], "lens takes no parameters", rest[0][0])
-        return "element", LensStmt()
     if keyword == "measure":
         if len(rest) != 1 or rest[0][0] not in MEASURE_KINDS:
             bad = rest[0] if rest else (keyword, col)
             raise _LineError(bad[1], "expected measurement 'pbs' or 'oam_sorter'", bad[0])
         return "measure", rest[0][0]
     raise _LineError(col, "unknown statement", keyword)
-
-
-def _parse_aperture(value: str) -> str:
-    if value not in _APERTURE_WORDS:
-        raise ValueError("bad aperture")
-    return _APERTURE_WORDS[value]
-
-
-_VALUE_PARSERS["aperture"] = _parse_aperture
 
 
 def parse_with_errors(text: str) -> tuple[BenchFile, list[ParseError]]:
@@ -292,10 +269,7 @@ def parse_with_errors(text: str) -> tuple[BenchFile, list[ParseError]]:
     diagnostics can show everything wrong with a file in one pass.
     """
     errors: list[ParseError] = []
-    l_max: int | None = None
-    pol: str | None = None
-    holo: tuple[int, ...] | None = None
-    measure: str | None = None
+    directives: dict = {}
     chain: list[ElementStmt] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
@@ -303,44 +277,23 @@ def parse_with_errors(text: str) -> tuple[BenchFile, list[ParseError]]:
         if not tokens:
             continue
         try:
-            kind, value = _parse_statement(tokens)
+            kind, value = _parse_statement(tokens, lineno)
         except _LineError as exc:
             errors.append(ParseError(lineno, exc.column, exc.message, exc.token))
             continue
-        col = tokens[0][1]
-        token = tokens[0][0]
-        if kind == "space":
-            if l_max is not None:
-                errors.append(ParseError(lineno, col, "duplicate 'space' directive", token))
-            else:
-                l_max = value
-        elif kind == "polarizer":
-            if pol is not None:
-                errors.append(
-                    ParseError(lineno, col, "duplicate 'prepare polarizer' directive", token)
-                )
-            else:
-                pol = value
-        elif kind == "hologram":
-            if holo is not None:
-                errors.append(
-                    ParseError(lineno, col, "duplicate 'prepare hologram' directive", token)
-                )
-            else:
-                holo = value
-        elif kind == "measure":
-            if measure is not None:
-                errors.append(ParseError(lineno, col, "duplicate 'measure' directive", token))
-            else:
-                measure = value
+        if kind == "element":
+            chain.append(value)
+        elif kind in directives:
+            token, col = tokens[0]
+            errors.append(ParseError(lineno, col, f"duplicate '{kind}' directive", token))
         else:
-            chain.append(dataclasses.replace(value, line=lineno))
+            directives[kind] = value
     bench = BenchFile(
-        l_max=l_max,
-        polarizer=pol,
-        hologram=holo,
+        l_max=directives.get("space"),
+        polarizer=directives.get("prepare polarizer"),
+        hologram=directives.get("prepare hologram"),
         elements=tuple(chain),
-        measure=measure,
+        measure=directives.get("measure"),
     )
     return bench, errors
 
@@ -379,6 +332,14 @@ class Preparation:
     axis: str = "V"
     oams: tuple[int, ...] = (0,)
 
+    def __post_init__(self) -> None:
+        if self.axis not in ("H", "V"):
+            raise ValueError(f"axis must be 'H' or 'V', got {self.axis!r}")
+        if not self.oams:
+            raise ValueError("hologram needs at least one OAM value")
+        if len(set(self.oams)) != len(self.oams):
+            raise ValueError(f"hologram lists duplicate OAM values: {self.oams}")
+
     def initial_state(self, space: ModeSpace) -> PhotonState:
         """Polarization vector (in circular coordinates) tensor uniform OAM superposition.
 
@@ -406,15 +367,23 @@ def _element_name(index: int, stmt: ElementStmt) -> str:
     return f"element {index} '{stmt.keyword}'{where}"
 
 
+#: each keyword's factory, by its name in `elements` so that a wrapper bound there
+#: is called, and its spec class, whose fields are the statement's keys in order
+_FACTORIES = {
+    "qplate": ("qplate", el.QPlateSpec),
+    "hwp": ("hwp", el.WaveplateSpec),
+    "dove": ("dove_prism", el.DovePrismSpec),
+    "lens": ("lens", None),
+}
+
+
 def _element_spec(stmt: ElementStmt) -> tuple:
     """(factory, spec) of a statement, spec None for a lens; the spec checks it."""
-    if isinstance(stmt, QPlateStmt):
-        return el.qplate, el.QPlateSpec(stmt.q, stmt.eta)
-    if isinstance(stmt, HwpStmt):
-        return el.hwp, el.WaveplateSpec(stmt.theta, stmt.aperture, stmt.crosstalk)
-    if isinstance(stmt, DoveStmt):
-        return el.dove_prism, el.DovePrismSpec(stmt.angle)
-    return el.lens, None
+    name, spec = _FACTORIES[stmt.keyword]
+    factory = getattr(el, name)
+    if spec is None:
+        return factory, None
+    return factory, spec(*[getattr(stmt, key) for key in stmt.keys])
 
 
 def _build_element(space: ModeSpace, label: str, factory, spec) -> ElementOp:
@@ -436,14 +405,13 @@ def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledB
     l_max = space.l_max if space is not None else (
         bench.l_max if bench.l_max is not None else DEFAULT_L_MAX
     )
-    prep = Preparation(
-        axis=bench.polarizer if bench.polarizer is not None else "V",
-        oams=bench.hologram if bench.hologram is not None else (0,),
-    )
-    if not prep.oams:
-        raise CompileError("hologram needs at least one OAM value")
-    if len(set(prep.oams)) != len(prep.oams):
-        raise CompileError(f"hologram lists duplicate OAM values: {prep.oams}")
+    try:
+        prep = Preparation(
+            axis=bench.polarizer if bench.polarizer is not None else "V",
+            oams=bench.hologram if bench.hologram is not None else (0,),
+        )
+    except ValueError as exc:
+        raise CompileError(str(exc)) from exc
     for l in prep.oams:
         if abs(l) > l_max:
             raise CompileError(

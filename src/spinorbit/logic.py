@@ -61,7 +61,6 @@ LOGICAL_STATES: dict[tuple[int, int], tuple[str, int]] = {
     (1, 0): (RIGHT, +2),
     (1, 1): (LEFT, -2),
 }
-PHYSICAL_TO_LOGICAL = {ket: bits for bits, ket in LOGICAL_STATES.items()}
 
 #: decode tolerance: the dominant encoded ket must carry amplitude 1 to this
 DECODE_TOL = 1e-9

@@ -2,19 +2,23 @@
 
 `cli.main` must return 0, 1 (usage or bench syntax), 2 (physics or compile
 error) or 3 (failed verification) for any argv, and never let an exception
-or a traceback out.  At the largest truncation no subcommand may hold a
-dense dim x dim array.
+or a traceback out.  Which of them each argv gets is worked out beside it
+with the library.  At the largest truncation no subcommand may hold a dense
+dim x dim array.
 """
 
 import contextlib
 import io
 import tracemalloc
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spinorbit import cli
+from spinorbit import SpinOrbitError, cli, compile_bench, deutsch, parse_with_errors
 from spinorbit.logic import ORACLE_IDS
+from spinorbit.state import MAX_L_MAX, MIN_L_MAX, apply_chain, basis_state
 from spinorbit.verify import SUITES
 from test_dsl import _grammar_texts
 
@@ -50,9 +54,9 @@ def _deutsch_argv(draw):
 
 
 @st.composite
-def _bench_argv(draw, path):
+def _bench_argv(draw, paths):
     argv = ["bench", draw(st.sampled_from(("run", "check", "lint")))]
-    argv.append(draw(st.sampled_from((path, "identity.bench", "fig2_cnot_gate.bench",
+    argv.append(draw(st.sampled_from((*paths, "identity.bench", "fig2_cnot_gate.bench",
                                       "missing.bench"))))
     if argv[1] == "run" and draw(st.booleans()):
         pol = draw(st.sampled_from(("L", "R", "H", "")))
@@ -70,6 +74,60 @@ def _verify_argv(draw):
     return argv
 
 
+def _expected_bench_code(args) -> int:
+    """1 for an unreadable file, a syntax error or a bad --input, 2 for a bench
+    that does not compile or (for run) whose chain fails, else 0."""
+    corpus = Path("benches")
+    if not corpus.is_dir():
+        corpus = Path(str(resources.files("spinorbit") / "benches"))
+    path = next((p for p in (Path(args.file), corpus / args.file) if p.is_file()), None)
+    if path is None:
+        return 1
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        return 1
+    bench, errors = parse_with_errors(text)
+    if errors:
+        return 1
+    try:
+        compiled = compile_bench(bench)
+        if args.bench_command == "check":
+            return 0
+        if args.input is None:
+            initial = compiled.preparation.initial_state(compiled.space)
+        else:
+            parts = args.input.split(",")
+            if len(parts) != 2 or parts[0] not in ("L", "R"):
+                return 1
+            try:
+                l = int(parts[1])
+            except ValueError:
+                return 1
+            initial = basis_state(compiled.space, parts[0], l)
+        apply_chain(compiled.elements, initial)
+    except SpinOrbitError:
+        return 2
+    return 0
+
+
+def _expected_code(argv) -> int:
+    """The exit code `cli.main(argv)` must give, worked out without running it."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        return 1
+    if args.command == "bench":
+        return _expected_bench_code(args)
+    if args.command == "deutsch":
+        eta = args.eta if args.eta is not None else (0.97 if args.realistic else 1.0)
+        if not (0.0 < eta <= 1.0 and 0.0 <= args.crosstalk <= 1.0 and args.seed >= 0
+                and (args.shots is None or 0 <= args.shots <= deutsch.MAX_SHOTS)):
+            return 1
+    return 0 if MIN_L_MAX <= args.lmax <= MAX_L_MAX else 2
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     # an exception escaping main fails the test with it
@@ -84,17 +142,66 @@ def run_main(argv):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_keeps_its_exit_code_contract(tmp_path, data):
     path = tmp_path / "fuzz.bench"
+    # neither a directory nor a file that is not UTF-8 is a bench
+    (tmp_path / "dir.bench").mkdir(exist_ok=True)
+    (tmp_path / "latin1.bench").write_bytes(b"lens # \xe9\n")
+    paths = [str(tmp_path / name) for name in ("fuzz.bench", "dir.bench", "latin1.bench")]
     if data is None:
         # numpy's int64 multinomial cannot draw this many shots
         path.write_text("lens\n")
         argv = ["deutsch", "--oracle", "identity", "--shots", str(2**63)]
     else:
         path.write_text(data.draw(_grammar_texts(), label="bench text"))
-        argv = data.draw(st.one_of(_deutsch_argv(), _bench_argv(str(path)), _verify_argv()),
+        argv = data.draw(st.one_of(_deutsch_argv(), _bench_argv(paths), _verify_argv()),
                          label="argv")
     code, _, err = run_main(argv)
-    assert code in (0, 1, 2, 3), (argv, code)
+    assert code == _expected_code(argv), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+
+
+_CONTRACT_FILES = {
+    "ok.bench": b"space lmax=6\nqplate q=1\nmeasure pbs\n",
+    "syntax.bench": b"space lmax=6\nqplate\n",
+    "overflow.bench": b"space lmax=4\nprepare hologram oam=+4\nqplate q=1\n",
+    "latin1.bench": b"lens # \xe9\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["bench", "run", "ok.bench"], 0),
+        (["bench", "check", "ok.bench", "--json"], 0),
+        (["bench", "run", "syntax.bench"], 1),
+        (["bench", "check", "syntax.bench", "--json"], 1),
+        (["bench", "run", "missing.bench"], 1),
+        (["bench", "check", "."], 1),
+        (["bench", "run", "latin1.bench"], 1),
+        (["bench", "run", "ok.bench", "--input", "H,0"], 1),
+        (["bench", "run", "ok.bench", "--input", "R,x"], 1),
+        (["bench", "check", "overflow.bench"], 2),
+        (["bench", "run", "overflow.bench", "--input", "H,0"], 2),
+        (["bench", "run", "ok.bench", "--input", "R,+99"], 2),
+        # the q-plate cannot shift the edge mode, so the chain fails on it
+        (["bench", "run", "ok.bench", "--input", "L,+6"], 2),
+        (["deutsch", "--eta", "1.5"], 1),
+        (["deutsch", "--crosstalk", "-0.1"], 1),
+        (["deutsch", "--shots", "-1"], 1),
+        (["deutsch", "--seed", "-1"], 1),
+        (["deutsch", "--eta", "0", "--lmax", "3"], 1),
+        (["deutsch", "--lmax", "3"], 2),
+        (["deutsch", "--lmax", "1001"], 2),
+        (["deutsch", "--oracle", "zcnot", "--lmax", "4"], 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit {value}",
+)
+def test_each_failure_gets_its_exit_code(tmp_path, monkeypatch, argv, code):
+    for name, content in _CONTRACT_FILES.items():
+        (tmp_path / name).write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    assert _expected_code(argv) == code
+    got, _, err = run_main(argv)
+    assert got == code, err
 
 
 _WIDE_BENCH = (

@@ -90,14 +90,13 @@ def reference_compile(bench, traced=None):
             f"bench has {len(bench.elements)} elements; the limit is {MAX_ELEMENTS}"
         )
     l_max = bench.l_max if bench.l_max is not None else DEFAULT_L_MAX
-    prep = Preparation(
-        axis=bench.polarizer if bench.polarizer is not None else "V",
-        oams=bench.hologram if bench.hologram is not None else (0,),
-    )
-    if not prep.oams:
+    # checked here, before Preparation, which rejects the same holograms itself
+    oams = bench.hologram if bench.hologram is not None else (0,)
+    if not oams:
         raise CompileError("hologram needs at least one OAM value")
-    if len(set(prep.oams)) != len(prep.oams):
-        raise CompileError(f"hologram lists duplicate OAM values: {prep.oams}")
+    if len(set(oams)) != len(oams):
+        raise CompileError(f"hologram lists duplicate OAM values: {oams}")
+    prep = Preparation(axis=bench.polarizer if bench.polarizer is not None else "V", oams=oams)
     for l in prep.oams:
         if abs(l) > l_max:
             raise CompileError(

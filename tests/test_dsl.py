@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from importlib import resources
@@ -21,6 +22,7 @@ from spinorbit import (
     prepare_input,
     render,
 )
+from spinorbit import dsl, elements as el
 from spinorbit.dsl import DoveStmt, HwpStmt, LensStmt, Preparation, QPlateStmt
 
 CORPUS = ["identity.bench", "not.bench", "cnot.bench", "zcnot.bench", "fig2_cnot_gate.bench"]
@@ -107,10 +109,20 @@ def test_valid_lines_after_invalid_are_still_parsed():
 
 
 def test_duplicate_directives_rejected():
-    text = "space lmax=6\nspace lmax=7\nmeasure pbs\nmeasure oam_sorter\n"
-    _, errors = parse_with_errors(text)
-    assert len(errors) == 2
-    assert all("duplicate" in e.message for e in errors)
+    text = (
+        "space lmax=6\nspace lmax=7\nmeasure pbs\n  measure oam_sorter\n"
+        "prepare polarizer H\nprepare polarizer V\nprepare hologram oam=1\n"
+        "prepare hologram oam=2\n"
+    )
+    bench, errors = parse_with_errors(text)
+    assert [(e.line, e.column, e.message, e.token) for e in errors] == [
+        (2, 1, "duplicate 'space' directive", "space"),
+        (4, 3, "duplicate 'measure' directive", "measure"),
+        (6, 1, "duplicate 'prepare polarizer' directive", "prepare"),
+        (8, 1, "duplicate 'prepare hologram' directive", "prepare"),
+    ]
+    # the first of each directive holds
+    assert (bench.l_max, bench.measure, bench.polarizer, bench.hologram) == (6, "pbs", "H", (1,))
 
 
 def test_comments_and_blank_lines_skipped():
@@ -249,6 +261,74 @@ def test_compile_rejects_hologram_outside_truncation():
 def test_compile_rejects_duplicate_hologram_values():
     with pytest.raises(CompileError, match="duplicate"):
         compile_bench(parse("prepare hologram oam=2,2\n"))
+
+
+@pytest.mark.parametrize(
+    "axis,oams,message",
+    [
+        ("X", (0,), "axis must be 'H' or 'V', got 'X'"),
+        ("V", (2, 2), "hologram lists duplicate OAM values: (2, 2)"),
+        ("V", (), "hologram needs at least one OAM value"),
+    ],
+)
+def test_preparation_rejects_invalid_fields(axis, oams, message):
+    with pytest.raises(ValueError) as excinfo:
+        Preparation(axis, oams)
+    assert str(excinfo.value) == message
+    assert not isinstance(excinfo.value, SpinOrbitError)
+    # compile_bench reports the same text as a compile error
+    with pytest.raises(CompileError) as excinfo:
+        compile_bench(BenchFile(polarizer=axis, hologram=oams))
+    assert str(excinfo.value) == message
+
+
+# --- the element key tables -------------------------------------------------------
+
+#: each statement class's spec class, and one line that sets every key off its default
+_ELEMENT_CASES = [
+    pytest.param(QPlateStmt, el.QPlateSpec, "qplate q=-1/2 eta=0.5", id="qplate"),
+    pytest.param(HwpStmt, el.WaveplateSpec, "hwp theta=0.25 aperture=l0 crosstalk=0.5", id="hwp"),
+    pytest.param(DoveStmt, el.DovePrismSpec, "dove", id="dove"),
+    pytest.param(LensStmt, None, "lens", id="lens"),
+]
+
+
+@pytest.mark.parametrize("stmt,spec,line", _ELEMENT_CASES)
+def test_key_table_matches_the_statement_and_its_spec(stmt, spec, line):
+    fields = [f.name for f in dataclasses.fields(stmt)]
+    assert fields == [*stmt.keys, "line"]
+    assert list(stmt.keys) == ([f.name for f in dataclasses.fields(spec)] if spec else [])
+    # the required keys are the fields without a default
+    assert list(stmt.required) == [
+        f.name for f in dataclasses.fields(stmt) if f.default is dataclasses.MISSING
+    ]
+    assert dsl._FACTORIES[stmt.keyword][1] is spec
+    assert dsl._ELEMENT_STMTS[stmt.keyword] is stmt
+
+
+def test_factories_are_called_through_the_elements_module(monkeypatch):
+    # benchmarks/tracer.py times each factory by rebinding it in `elements`
+    calls = []
+    for name in ("qplate", "hwp", "dove_prism", "lens"):
+        factory = getattr(el, name)
+        monkeypatch.setattr(el, name, lambda *a, _f=factory, **k: calls.append(_f) or _f(*a, **k))
+    compile_bench(parse("qplate q=1\nhwp theta=0\ndove\nlens\n"))
+    assert [f.__name__ for f in calls] == ["qplate", "hwp", "dove_prism", "lens"]
+
+
+@pytest.mark.parametrize("stmt,spec,line", _ELEMENT_CASES)
+def test_each_element_keyword_parses_renders_and_builds(stmt, spec, line):
+    bench = parse(f"space lmax=6\n{line}\n")
+    (parsed,) = bench.elements
+    assert type(parsed) is stmt and parsed.line == 2
+    assert parsed.render() == line
+    assert render(bench) == f"space lmax=6\n{line}\n"
+    # the spec gets each key by position; by name it must be the same spec
+    factory, built = dsl._element_spec(parsed)
+    expected = spec(**{key: getattr(parsed, key) for key in stmt.keys}) if spec else None
+    assert built == expected
+    (op,) = compile_bench(bench).elements
+    assert op.label == f"{stmt.keyword}[1]"
 
 
 def test_compile_selective_hwp_crosstalk_widens_support():
