@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -118,23 +119,25 @@ def _verify_report(report: deutsch.RunReport) -> list[str]:
     return failures
 
 
+def _pairs(fields: dict, *keys: str) -> str:
+    """``key=value`` words for `keys` (default: all) of `fields`, in the order of `fields`."""
+    return " ".join(
+        f"{k}={_fmt(v) if isinstance(v, float) else v}"
+        for k, v in fields.items() if k in (keys or fields)
+    )
+
+
 def _report_text(report: deutsch.RunReport) -> list[str]:
+    """`report.to_dict()` under its JSON names and order; the threshold is not shown."""
+    fields = report.to_dict()
     lines = [
-        f"oracle={report.oracle_id} measurement={report.measurement} "
-        f"verdict={report.verdict}",
-        f"  p_D1={_fmt(report.p_d1)} p_D2={_fmt(report.p_d2)} "
-        f"survival={_fmt(report.survival)}",
-        f"  oam_sorter: p_plus={_fmt(report.p_plus)} p_minus={_fmt(report.p_minus)} "
-        f"residual={_fmt(report.residual)}",
-        f"  output_fidelity={_fmt(report.output_fidelity)}",
+        _pairs(fields, "oracle", "measurement", "verdict"),
+        "  " + _pairs(fields, "p_D1", "p_D2", "survival"),
+        "  oam_sorter: " + _pairs(fields["oam_sorter"]),
+        "  " + _pairs(fields, "output_fidelity"),
     ]
-    if report.shots is not None:
-        t = report.shots
-        extra = f" n_residual={t.n_residual}" if t.n_residual else ""
-        lines.append(
-            f"  shots={t.shots} seed={t.seed} n_D1={t.n_d1} n_D2={t.n_d2} "
-            f"n_lost={t.n_lost}{extra}"
-        )
+    if fields["shots"] is not None:
+        lines.append("  " + _pairs(fields["shots"]))
     return lines
 
 
@@ -221,12 +224,13 @@ def _read_bench_file(args) -> tuple[Path, str]:
     CompileError for a file above `dsl.MAX_BENCH_BYTES`, of which at most one
     byte more than the limit is read (the file's reported size is not trusted).
     """
+    candidates = (Path(args.file), _corpus_dir(args.corpus) / args.file)
     # only regular files: a directory of that name is not a bench
-    for path in (Path(args.file), _corpus_dir(args.corpus) / args.file):
-        if path.is_file():
-            break
-    else:
-        raise _UnreadableBench(f"bench file not found: {args.file}")
+    path = next((p for p in candidates if p.is_file()), None)
+    if path is None:
+        folders = [p for p in candidates if p.is_dir()]
+        problem = f"{folders[0]} is a directory" if folders else f"not found: {args.file}"
+        raise _UnreadableBench(f"bench file {problem}")
     try:
         with path.open("rb") as handle:
             data = handle.read(dsl.MAX_BENCH_BYTES + 1)
@@ -262,9 +266,30 @@ def _parse_input_ket(spec: str, space) -> PhotonState:
     return basis_state(space, parts[0].strip(), l)
 
 
-def cmd_bench_run(args) -> int:
+def _parse_bench_file(args) -> tuple[Path, dsl.BenchFile | None]:
+    """The bench file's path and parsed bench; on syntax errors, raises
+    BenchParseError or, under --json, prints the errors document and gives None."""
     path, text = _read_bench_file(args)
-    compiled = dsl.compile_bench(dsl.parse(text))
+    bench, errors = dsl.parse_with_errors(text)
+    if not errors:
+        return path, bench
+    if not args.json:
+        raise BenchParseError(errors)
+    print(json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "command": f"bench {args.bench_command}",
+        "file": str(path),
+        "ok": False,
+        "errors": [asdict(e) for e in errors],
+    }, indent=2))
+    return path, None
+
+
+def cmd_bench_run(args) -> int:
+    path, bench = _parse_bench_file(args)
+    if bench is None:
+        return EXIT_USAGE
+    compiled = dsl.compile_bench(bench)
     if args.input is not None:
         initial = _parse_input_ket(args.input, compiled.space)
         input_desc = args.input
@@ -286,12 +311,7 @@ def cmd_bench_run(args) -> int:
         measurement = {"kind": "pbs", "p_D1": p_d1, "p_D2": p_d2}
     elif compiled.measure == dsl.MEASURE_OAM_SORTER:
         probs = deutsch.measure_oam_superposition(output)
-        measurement = {
-            "kind": "oam_sorter",
-            "p_plus": probs.p_plus,
-            "p_minus": probs.p_minus,
-            "residual": probs.residual,
-        }
+        measurement = {"kind": "oam_sorter", **probs._asdict()}
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": "bench run",
@@ -316,30 +336,14 @@ def cmd_bench_run(args) -> int:
         print(f"survival={_fmt(output.survival)}")
         print(f"fidelity_vs_input={_fmt(document['output']['fidelity_vs_input'])}")
         if measurement is not None:
-            pairs = " ".join(
-                f"{k}={_fmt(v)}" for k, v in measurement.items() if k != "kind"
-            )
+            pairs = _pairs({k: v for k, v in measurement.items() if k != "kind"})
             print(f"measurement[{measurement['kind']}]: {pairs}")
     return EXIT_OK
 
 
 def cmd_bench_check(args) -> int:
-    path, text = _read_bench_file(args)
-    bench, errors = dsl.parse_with_errors(text)
-    if errors:
-        if not args.json:
-            raise BenchParseError(errors)
-        print(json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "command": "bench check",
-            "file": str(path),
-            "ok": False,
-            "errors": [
-                {"line": e.line, "column": e.column, "message": e.message,
-                 "token": e.token}
-                for e in errors
-            ],
-        }, indent=2))
+    path, bench = _parse_bench_file(args)
+    if bench is None:
         return EXIT_USAGE
     compiled = dsl.compile_bench(bench)
     summary = {

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dsl import Preparation
-from .logic import BALANCED, CONSTANT, ORACLE_IDS, build_oracle
+from .logic import BALANCED, CONSTANT, ORACLE_IDS, build_oracle, oracle_class
 from .state import (
     DEFAULT_L_MAX,
     H_CIRCULAR,
@@ -182,7 +182,7 @@ class RunReport:
     shots: ShotTally | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "oracle": self.oracle_id,
             "measurement": self.measurement,
             "p_D1": self.p_d1,
@@ -196,9 +196,8 @@ class RunReport:
             "verdict": self.verdict,
             "output_fidelity": self.output_fidelity,
             "threshold": self.threshold,
+            "shots": None if self.shots is None else self.shots.to_dict(),
         }
-        out["shots"] = self.shots.to_dict() if self.shots is not None else None
-        return out
 
 
 def _is_int(value) -> bool:
@@ -241,33 +240,28 @@ def run(
     _check_threshold(threshold)
     space = make_space(l_max)
     bench = build_oracle(space, oracle_id, eta=eta, crosstalk=crosstalk)
-    output = apply_chain(bench.elements, prepare_input(space))
+    probe = prepare_input(space)
+    output = apply_chain(bench.elements, probe)
 
     p_d1, p_d2 = measure_pbs(output)
     sorter = measure_oam_superposition(output)
-    fidelity = fidelity_up_to_phase(output, expected_output(space, oracle_id))
+    # a constant oracle's expected output is +-probe, and the fidelity ignores the sign
+    expected = probe if oracle_class(oracle_id) == CONSTANT else expected_output(space, oracle_id)
+    fidelity = fidelity_up_to_phase(output, expected)
 
+    # the detector's (balanced, constant) ports, then the sorter's residual bucket
     if measurement == PBS:
-        verdict = classify(p_d1, p_d2, threshold)
+        outcomes = (p_d1, p_d2)
     else:
-        verdict = classify(sorter.p_minus, sorter.p_plus, threshold)
+        outcomes = (sorter.p_minus, sorter.p_plus, sorter.residual)
+    verdict = classify(*outcomes[:2], threshold)
 
     tally = None
     if shots is not None:
         s = output.survival
-        if measurement == PBS:
-            counts = sample_counts([p_d1 * s, p_d2 * s, 1.0 - s], shots, seed)
-            tally = ShotTally(shots, seed, int(counts[0]), int(counts[1]), int(counts[2]))
-        else:
-            counts = sample_counts(
-                [sorter.p_minus * s, sorter.p_plus * s, sorter.residual * s, 1.0 - s],
-                shots,
-                seed,
-            )
-            tally = ShotTally(
-                shots, seed, int(counts[0]), int(counts[1]), int(counts[3]),
-                n_residual=int(counts[2]),
-            )
+        probabilities = [p * s for p in outcomes] + [1.0 - s]
+        n_d1, n_d2, *n_residual, n_lost = sample_counts(probabilities, shots, seed).tolist()
+        tally = ShotTally(shots, seed, n_d1, n_d2, n_lost, *n_residual)
 
     return RunReport(
         oracle_id=oracle_id,

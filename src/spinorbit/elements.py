@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .state import LOSSY, UNITARY, ElementOp, ModeSpace
+from .state import ElementOp, ModeSpace
 
 APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
@@ -112,7 +112,7 @@ class DovePrismSpec:
 
 
 def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> ElementOp:
-    """Permutation |L,l> -> |R,l+2q>, |R,l> -> |L,l-2q> with a survival factor eta.
+    """Permutation |L,l> -> |R,l+2q>, |R,l> -> |L,l-2q>; eta is the survival factor.
 
     Basis states within 2|q| of the truncation edge cannot be shifted; they are
     kept as fixed points but excluded from the input mask, so the operator
@@ -135,11 +135,9 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
     source[n + hi:2 * n - lo] -= n + shift
     # the input mask holds the shifted modes, which are all of them for q = 0
     mask = source != np.arange(2 * n) if shift else None
-    kind = LOSSY if spec.eta < 1.0 else UNITARY
     return ElementOp(
         space,
-        kind=kind,
-        survival_factor=spec.eta if spec.eta < 1.0 else 1.0,
+        survival_factor=float(spec.eta),
         label=label or f"qplate(q={spec.q})",
         input_mask=mask,
         source=source,

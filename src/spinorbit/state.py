@@ -172,7 +172,7 @@ LOSSY = "lossy"
 
 
 class ElementOp:
-    """Operator on the mode space, tagged unitary or lossy, in one of two forms.
+    """Operator on the mode space, lossy iff `survival_factor` < 1, in one of two forms.
 
     * Entries, ``ElementOp(space, matrix)``: the nonzero entries of a dim x dim
       matrix, checked for U+U = I on those entries by `_unitarity_deviation`.  The benches' products are near
@@ -199,7 +199,6 @@ class ElementOp:
         self,
         space: ModeSpace,
         matrix: np.ndarray | None = None,
-        kind: str = UNITARY,
         survival_factor: float = 1.0,
         label: str = "",
         input_mask: np.ndarray | None = None,
@@ -219,7 +218,7 @@ class ElementOp:
                 raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
             rows, cols = np.divmod(np.flatnonzero(mat), dim)
             entries = rows, cols, mat[rows, cols]
-        self._setup(space, kind, survival_factor, label, input_mask, entries, source, blocks)
+        self._setup(space, survival_factor, label, input_mask, entries, source, blocks)
 
     @classmethod
     def _from_entries(cls, space: ModeSpace, entries, **tags) -> ElementOp:
@@ -232,15 +231,18 @@ class ElementOp:
     def _from_blocks(cls, space: ModeSpace, distinct, index, label: str) -> ElementOp:
         """Identity gather, ``blocks = distinct[index]``; checks only `distinct`."""
         op = cls.__new__(cls)
-        op._setup(space, UNITARY, 1.0, label, None, None, None, None)
+        op._setup(space, 1.0, label, None, None, None, None)
         op._require_unitary(_blocks_deviation(distinct.tolist()))
         object.__setattr__(op, "blocks", _frozen(distinct.take(index, axis=0)))
         return op
 
-    def _setup(self, space, kind, survival_factor, label, input_mask, entries, source, blocks):
+    def _setup(self, space, survival_factor, label, input_mask, entries, source, blocks):
+        # written so that a NaN factor fails too
+        if not 0.0 < survival_factor <= 1.0:
+            raise ValueError(f"survival_factor must lie in (0, 1], got {survival_factor!r}")
         init = object.__setattr__
         init(self, "space", space)
-        init(self, "kind", kind)
+        init(self, "kind", LOSSY if survival_factor < 1.0 else UNITARY)
         init(self, "survival_factor", survival_factor)
         init(self, "label", label)
         init(self, "_matrix", None)
@@ -279,17 +281,6 @@ class ElementOp:
             else:
                 blk = None
             init(self, "blocks", blk)
-        if kind == UNITARY:
-            if survival_factor != 1.0:
-                raise ValueError("unitary elements must have survival_factor 1")
-        elif kind == LOSSY:
-            if not 0.0 < survival_factor < 1.0:
-                raise ValueError(
-                    f"lossy elements need survival_factor in (0, 1), got "
-                    f"{survival_factor!r}"
-                )
-        else:
-            raise ValueError(f"kind must be 'unitary' or 'lossy', got {kind!r}")
         if input_mask is not None:
             mask = np.array(input_mask, dtype=bool)
             if mask.shape != (dim,):
@@ -521,8 +512,8 @@ def compose(ops: Sequence[ElementOp]) -> ElementOp:
     to them (see `_step`), so no dense dim x dim matrix is built: an element
     costs O(entries), and the benches' products have about dim of them.  The
     result is an ElementOp in the entries form, checked for unitarity.  The
-    composite survival factor is the product of the factors, the kind is
-    lossy iff any input is lossy, and the input mask excludes every basis
+    composite survival factor is the product of the factors, so it is lossy
+    iff some input is, and the input mask excludes every basis
     state whose trajectory would touch a guarded mode of any stage.
     """
     if not ops:
@@ -540,16 +531,11 @@ def compose(ops: Sequence[ElementOp]) -> ElementOp:
             leakage = np.bincount(cols[blocked], np.abs(vals[blocked]), dim)
             mask &= leakage <= GUARD_TOL
         rows, cols, vals = _step(op, rows, cols, vals)
-    survival = 1.0
-    for op in ops:
-        survival *= op.survival_factor
-    kind = LOSSY if any(op.is_lossy for op in ops) else UNITARY
     label = " -> ".join(op.label or "element" for op in ops)
     return ElementOp._from_entries(
         space,
         (rows, cols, vals),
-        kind=kind,
-        survival_factor=survival,
+        survival_factor=math.prod(op.survival_factor for op in ops),
         label=label,
         input_mask=None if mask.all() else mask,
     )

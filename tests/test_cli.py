@@ -60,15 +60,26 @@ def test_deutsch_shots_deterministic(capsys):
 
 
 def test_deutsch_text_and_json_numbers_agree(capsys):
-    _, text_out, _ = run_cli(capsys, "deutsch", "--oracle", "cnot", "--crosstalk", "0.3")
-    _, json_out, _ = run_cli(
-        capsys, "deutsch", "--oracle", "cnot", "--crosstalk", "0.3", "--json"
-    )
-    result = json.loads(json_out)["results"][0]
-    text_p1 = float(re.search(r"p_D1=(\S+)", text_out).group(1))
-    text_p2 = float(re.search(r"p_D2=(\S+)", text_out).group(1))
-    assert text_p1 == result["p_D1"]  # 17 significant digits round-trip exactly
-    assert text_p2 == result["p_D2"]
+    for argv in (
+        ("deutsch", "--oracle", "cnot", "--crosstalk", "0.3"),
+        ("deutsch", "--oracle", "cnot", "--crosstalk", "0.3", "--realistic",
+         "--measure", "oam", "--shots", "100000", "--seed", "5"),
+    ):
+        _, text_out, _ = run_cli(capsys, *argv)
+        _, json_out, _ = run_cli(capsys, *argv, "--json")
+        result = json.loads(json_out)["results"][0]
+        # the tally's own "shots" count takes the place of the tally
+        fields = {**result, **result["oam_sorter"], **(result["shots"] or {})}
+        numbers = {
+            key: value for key, value in fields.items()
+            if isinstance(value, (int, float)) and key != "threshold"
+        }
+        text = dict(re.findall(r"(\w+)=(\S+)", text_out))
+        assert set(text) == set(numbers) | {"oracle", "measurement", "verdict"}
+        for key, value in numbers.items():
+            # 17 significant digits round-trip exactly
+            assert type(value)(text[key]) == value, key
+    assert text["n_residual"] == "9718"
 
 
 def test_deutsch_verify_ideal(capsys):
@@ -111,8 +122,12 @@ def test_negative_shots_and_seed_exit_1(capsys, argv, flag):
 def test_bench_directory_exits_1(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, "bench", command, str(tmp_path))
     assert code == 1
-    assert "not found" in err and "Traceback" not in err
-    assert len(err.splitlines()) == 1
+    assert err == f"spinorbit bench: bench file {tmp_path} is a directory\n"
+    # the same for a directory found in the corpus
+    (tmp_path / "nested.bench").mkdir()
+    code, _, err = run_cli(capsys, "bench", command, "nested.bench", "--corpus", str(tmp_path))
+    assert code == 1
+    assert err == f"spinorbit bench: bench file {tmp_path / 'nested.bench'} is a directory\n"
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
@@ -219,6 +234,19 @@ def test_bench_check_syntax_errors_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bench", "check", str(bad))
     assert code == 1
     assert "line 2" in err and "line 3" in err
+
+
+def test_bench_run_json_syntax_errors_print_the_check_document(tmp_path, capsys):
+    bad = tmp_path / "broken.bench"
+    bad.write_text("space lmax=6\nhwp theta=\nwat\n")
+    documents = {}
+    for command in ("run", "check"):
+        code, out, err = run_cli(capsys, "bench", command, str(bad), "--json")
+        assert code == 1 and err == ""
+        documents[command] = json.loads(out)
+    assert documents["run"] == {**documents["check"], "command": "bench run"}
+    assert documents["run"]["ok"] is False and documents["run"]["file"] == str(bad)
+    assert [e["line"] for e in documents["run"]["errors"]] == [2, 3]
 
 
 def test_bench_compile_error_exits_2(tmp_path, capsys):

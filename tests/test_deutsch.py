@@ -27,6 +27,7 @@ from spinorbit.deutsch import (
     run,
     sample_counts,
 )
+from spinorbit.dsl import Preparation
 from spinorbit.state import H_CIRCULAR, LEFT, PhotonState, RIGHT, V_CIRCULAR
 
 
@@ -319,6 +320,20 @@ def test_sample_counts_names_the_bad_parameter(shots, seed, name):
 def test_sample_counts_accepts_the_largest_and_numpy_counts():
     assert sample_counts([0.5, 0.5], 2**63 - 1, seed=0).sum() == 2**63 - 1
     assert sample_counts([0.5, 0.5], np.int64(10), seed=np.uint8(3)).sum() == 10
+
+
+@pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+def test_run_prepares_the_probe_once(oracle_id, monkeypatch):
+    calls = []
+    prepare = Preparation.initial_state
+
+    def counted(self, space):
+        calls.append(self)
+        return prepare(self, space)
+
+    monkeypatch.setattr(Preparation, "initial_state", counted)
+    run(oracle_id)
+    assert len(calls) == 1
 
 
 def test_run_rejects_unknown_oracle_and_measurement():

@@ -424,12 +424,28 @@ def test_structured_op_matches_its_dense_view(space):
         op.label = "renamed"
 
 
-def test_element_op_kind_constraints(space):
+@pytest.mark.parametrize("factor", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+def test_element_op_rejects_survival_factor_outside_unit_interval(space, factor):
     eye = np.eye(space.dimension, dtype=complex)
-    with pytest.raises(ValueError):
-        ElementOp(space, eye, kind="unitary", survival_factor=0.9)
-    with pytest.raises(ValueError):
-        ElementOp(space, eye, kind="lossy", survival_factor=1.0)
+    with pytest.raises(ValueError, match="survival_factor"):
+        ElementOp(space, eye, survival_factor=factor)
+    with pytest.raises(ValueError, match="survival_factor"):
+        ElementOp(space, source=np.arange(space.dimension), survival_factor=factor)
+
+
+def test_element_op_kind_follows_survival_factor(space):
+    eye = np.eye(space.dimension, dtype=complex)
+    lossy = ElementOp(space, eye, survival_factor=0.97)
+    unitary = ElementOp(space, eye, survival_factor=1.0)
+    assert (lossy.kind, lossy.is_lossy) == ("lossy", True)
+    assert (unitary.kind, unitary.is_lossy) == ("unitary", False)
+    assert qplate(space, QPlateSpec(1, 0.97)).is_lossy
+    assert not qplate(space, QPlateSpec(1, 1.0)).is_lossy
+    # a product is lossy iff some factor is below 1
+    for factors in ([1.0, 1.0], [1.0, 0.97], [0.97, 1.0], [0.97, 0.97]):
+        composed = compose([ElementOp(space, eye, survival_factor=f) for f in factors])
+        assert composed.is_lossy == any(f < 1.0 for f in factors)
+        assert composed.kind == ("lossy" if composed.is_lossy else "unitary")
 
 
 def test_states_and_operators_are_readonly(space):
