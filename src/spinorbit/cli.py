@@ -267,20 +267,26 @@ def _parse_input_ket(spec: str, space) -> PhotonState:
 
 
 def _parse_bench_file(args) -> tuple[Path, dsl.BenchFile | None]:
-    """The bench file's path and parsed bench; on syntax errors, raises
-    BenchParseError or, under --json, prints the errors document and gives None."""
-    path, text = _read_bench_file(args)
-    bench, errors = dsl.parse_with_errors(text)
+    """The bench file's path and parsed bench; an unreadable or unparsable file raises
+    _UnreadableBench or BenchParseError or, under --json, prints the errors document."""
+    try:
+        path, text = _read_bench_file(args)
+        bench, errors = dsl.parse_with_errors(text)
+        if errors and not args.json:
+            raise BenchParseError(errors)
+        errors = [asdict(e) for e in errors]
+    except _UnreadableBench as exc:
+        if not args.json:
+            raise
+        path, bench, errors = Path(args.file), None, [{"message": str(exc)}]
     if not errors:
         return path, bench
-    if not args.json:
-        raise BenchParseError(errors)
     print(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "command": f"bench {args.bench_command}",
         "file": str(path),
         "ok": False,
-        "errors": [asdict(e) for e in errors],
+        "errors": errors,
     }, indent=2))
     return path, None
 

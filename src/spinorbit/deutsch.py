@@ -62,6 +62,8 @@ def expected_output(space: ModeSpace, oracle_id: str) -> PhotonState:
     identity: +input;  not: -input;
     cnot: +(|L> + |R>)(|+2> - |-2>)/2;  zcnot: the same with a - sign.
     """
+    if oracle_id not in ORACLE_IDS:
+        raise ValueError(f"unknown oracle {oracle_id!r}; expected one of {ORACLE_IDS}")
     if oracle_id in ("identity", "not"):
         base = prepare_input(space).amplitudes.copy()
         sign = 1.0 if oracle_id == "identity" else -1.0
@@ -86,20 +88,14 @@ def measure_pbs(state: PhotonState) -> tuple[float, float]:
     the (L, R) pair of each l.  Each step keeps the rounding of a per-l
     ``abs(np.vdot(bra, pair)) ** 2`` loop, so the result is bit-identical to
     it: the (1, 2) @ (2, 1) products, `np.hypot` for the modulus (`np.abs` on
-    an array rounds differently), a Python float square, and sequential
-    summation in l order.
+    an array rounds differently), `np.float_power` for the square (libm ``pow``
+    like ``** 2``; ``x * x`` differs) and `cumsum` to sum in l order.
     """
     n_oam = state.space.n_oam
     pairs = state.amplitudes.reshape(2, n_oam).T.reshape(n_oam, 2, 1)
     projections = np.matmul(_PBS_BRAS, pairs)
-    moduli = np.hypot(projections.real, projections.imag).reshape(2, n_oam).tolist()
-    p_h = 0.0
-    for m in moduli[0]:
-        p_h += m ** 2
-    p_v = 0.0
-    for m in moduli[1]:
-        p_v += m ** 2
-    return p_h, p_v
+    moduli = np.hypot(projections.real, projections.imag).reshape(2, n_oam)
+    return tuple(np.float_power(moduli, 2.0).cumsum(axis=1)[:, -1].tolist())
 
 
 class OamSorterProbs(NamedTuple):
@@ -207,7 +203,7 @@ def _is_int(value) -> bool:
 def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.ndarray:
     """Multinomial tallies over outcome categories, reproducible per seed.
 
-    The draw uses the first stream spawned from SeedSequence(seed).
+    The draw uses SeedSequence(seed, spawn_key=(0,)), the first stream SeedSequence(seed) spawns.
     """
     if not (_is_int(shots) and 0 <= shots <= MAX_SHOTS):
         raise ValueError(f"shots must be an integer in [0, {MAX_SHOTS}], got {shots!r}")
@@ -218,8 +214,8 @@ def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.n
         raise ValueError("negative outcome probability")
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
-    (stream,) = np.random.SeedSequence(seed).spawn(1)
-    return np.random.default_rng(stream).multinomial(shots, probs)
+    stream = np.random.SeedSequence(seed, spawn_key=(0,))
+    return np.random.Generator(np.random.PCG64(stream)).multinomial(shots, probs)
 
 
 def run(

@@ -41,14 +41,16 @@ APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
 
 
+def _reject_bools(spec, *fields: str) -> None:
+    for name in fields:  # a bool would pass every range check as 0 or 1
+        if isinstance(getattr(spec, name), bool):
+            raise TypeError(f"{name} must be a number, not a bool")
+
+
 def _as_fraction(q) -> Fraction:
     if isinstance(q, Fraction):
         return q
-    if isinstance(q, int):
-        return Fraction(q)
-    if isinstance(q, float):
-        return Fraction(q)
-    if isinstance(q, str):
+    if isinstance(q, (int, float, str)):
         return Fraction(q)
     raise TypeError(f"topological charge must be rational, got {type(q).__name__}")
 
@@ -61,6 +63,7 @@ class QPlateSpec:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
+        _reject_bools(self, "q", "eta")
         object.__setattr__(self, "q", _as_fraction(self.q))
         # in lowest terms, 2q is an integer iff q's denominator is 1 or 2
         if self.q.denominator > 2:
@@ -86,6 +89,7 @@ class WaveplateSpec:
     crosstalk: float = 0.0
 
     def __post_init__(self) -> None:
+        _reject_bools(self, "theta", "crosstalk")
         # the circular-basis block holds e^{2i theta}, so 2*theta must be finite
         if not math.isfinite(2.0 * self.theta):
             raise ValueError(f"theta must be finite, and so must 2*theta; got {self.theta!r}")

@@ -130,14 +130,17 @@ def oracle_recipe(
 def build_oracle(
     space: ModeSpace, oracle_id: str, eta: float = 1.0, crosstalk: float = 0.0
 ) -> OracleBench:
-    """Build the chain of `oracle_recipe`, each element under its label."""
-    recipe = oracle_recipe(oracle_id, eta, crosstalk)
-    chain = tuple([dsl._build_element(space, label, *dsl._element_spec(stmt))
-                   for label, stmt in recipe])
+    """Build the chain of `oracle_recipe`, each element under its label; a repeated
+    statement (QP2, L2, HWP3) is not built again but its first op `_relabel`ed."""
+    built, chain = {}, []  # keyed by id(): the recipe repeats a statement as one object
+    for label, stmt in oracle_recipe(oracle_id, eta, crosstalk):
+        first = built.get(id(stmt))
+        chain.append(first._relabel(label) if first is not None else built.setdefault(
+            id(stmt), dsl._build_element(space, label, *dsl._element_spec(stmt))))
     # only cnot and zcnot insert HWP1, the plate with crosstalk; all four check it
     WaveplateSpec(0.0, APERTURE_L0, crosstalk)
     inserted = frozenset(ORACLE_CHAINS[oracle_id]) - frozenset(ORACLE_CHAINS["identity"])
-    return OracleBench(oracle_id, chain, inserted)
+    return OracleBench(oracle_id, tuple(chain), inserted)
 
 
 def truth_table(

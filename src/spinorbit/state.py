@@ -121,7 +121,8 @@ class PhotonState:
     """Unit amplitude vector over |pol, l> plus a scalar survival probability.
 
     The amplitude norm is always 1 while survival > 0; loss lives entirely in
-    `survival`.  Instances are immutable (the array is marked read-only).
+    `survival`.  Amplitudes within 1e-9 of norm 1 are divided by their norm here,
+    the one place a state is normalized.  Immutable (the array is read-only).
     """
 
     space: ModeSpace
@@ -236,6 +237,12 @@ class ElementOp:
         object.__setattr__(op, "blocks", _frozen(distinct.take(index, axis=0)))
         return op
 
+    def _relabel(self, label: str) -> ElementOp:
+        """This op under `label`, sharing its checked read-only arrays."""
+        op = ElementOp.__new__(ElementOp)
+        op.__dict__.update(vars(self), label=label)
+        return op
+
     def _setup(self, space, survival_factor, label, input_mask, entries, source, blocks):
         # written so that a NaN factor fails too
         if not 0.0 < survival_factor <= 1.0:
@@ -287,7 +294,7 @@ class ElementOp:
                 raise ValueError("input_mask length must equal the dimension")
             input_mask = _frozen(mask)
         init(self, "input_mask", input_mask)
-        init(self, "_blocked", None if input_mask is None else (~input_mask).nonzero()[0])
+        init(self, "_blocked", None if input_mask is None else _frozen((~input_mask).nonzero()[0]))
 
     def _require_unitary(self, deviation) -> None:
         # written so that a NaN deviation fails too
@@ -480,7 +487,7 @@ def _check_guard(op: ElementOp, amplitudes: np.ndarray) -> None:
 
 
 def apply(op: ElementOp, state: PhotonState) -> PhotonState:
-    """Apply an element: new amplitudes, renormalized; survival multiplied."""
+    """Apply an element: new amplitudes, renormalized by `PhotonState`; survival multiplied."""
     if op.space.dimension != state.space.dimension:
         raise ValueError(
             f"dimension mismatch: operator is {op.space.dimension}, state is "
@@ -488,7 +495,6 @@ def apply(op: ElementOp, state: PhotonState) -> PhotonState:
         )
     _check_guard(op, state.amplitudes)
     amps = _act(op, state.amplitudes)
-    amps = amps / _norm(amps)
     return PhotonState(state.space, amps, survival=state.survival * op.survival_factor)
 
 

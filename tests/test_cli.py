@@ -157,6 +157,27 @@ def test_bench_unreadable_file_exits_1(tmp_path, capsys, monkeypatch, command):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_bench_json_unreadable_file_prints_the_errors_document(tmp_path, capsys, command, kind):
+    path = tmp_path / "x.bench"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"\xff\xfe bad\n")
+    code, _, text_err = run_cli(capsys, "bench", command, str(path))
+    code_json, out, err = run_cli(capsys, "bench", command, str(path), "--json")
+    assert code == code_json == 1 and err == ""
+    # the message the text mode prints on stderr, in the syntax-errors document
+    assert json.loads(out) == {
+        "schema_version": 1,
+        "command": f"bench {command}",
+        "file": str(path),
+        "ok": False,
+        "errors": [{"message": text_err.removeprefix("spinorbit bench: ").rstrip("\n")}],
+    }
+
+
 def test_lmax_above_cap_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "deutsch", "--lmax", "100000")
     assert code == 2

@@ -234,6 +234,42 @@ def test_classify_thresholds():
             run("identity", threshold=threshold)
 
 
+def measure_pbs_python_sum(state):
+    """`measure_pbs` before its sum was vectorized: Python squares, summed in l order."""
+    n_oam = state.space.n_oam
+    pairs = state.amplitudes.reshape(2, n_oam).T.reshape(n_oam, 2, 1)
+    projections = np.matmul(np.stack((H_CIRCULAR, V_CIRCULAR)).conj().reshape(2, 1, 1, 2), pairs)
+    moduli = np.hypot(projections.real, projections.imag).reshape(2, n_oam).tolist()
+    sums = []
+    for row in moduli:
+        total = 0.0
+        for m in row:
+            total += m ** 2
+        sums.append(total)
+    return tuple(sums)
+
+
+def _sparse_state(space, rng, density):
+    amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    keep = rng.random(space.dimension) < density
+    keep[rng.integers(space.dimension)] = True
+    amps = np.where(keep, amps, 0.0)
+    return PhotonState(space, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("l_max", [4, 6, 64, 1000])
+def test_measure_pbs_keeps_the_bits_of_the_python_sum(l_max):
+    space = make_space(l_max)
+    rng = np.random.default_rng(l_max)
+    # zeros included: one port empty, sparse supports, every mode occupied
+    states = [_linear_ket(space, H_CIRCULAR, 0), _linear_ket(space, V_CIRCULAR, l_max)]
+    states += [_sparse_state(space, rng, density) for density in (0.0, 0.05, 0.5, 1.0) * 10]
+    for state in states:
+        new, old = measure_pbs(state), measure_pbs_python_sum(state)
+        assert [p.hex() for p in new] == [p.hex() for p in old]
+        assert all(type(p) is float for p in new)
+
+
 def test_shot_tallies_are_seed_reproducible():
     a = run("cnot", eta=0.97, shots=10_000, seed=42)
     b = run("cnot", eta=0.97, shots=10_000, seed=42)
@@ -274,6 +310,22 @@ def test_sample_counts_are_deterministic(probabilities, shots, seed, tally):
     assert np.array_equal(a, b)
     assert a.tolist() == tally
     assert a.sum() == shots
+
+
+def test_sample_counts_draw_from_the_first_spawned_stream():
+    rng = np.random.default_rng(3)
+    seeds = list(range(64)) + [123456789, 2**32, 2**40, 2**63 - 1, 2**64, 2**100]
+    for seed in seeds:
+        probabilities = rng.dirichlet(np.ones(rng.integers(2, 6)))
+        shots = int(rng.integers(0, 10**6))
+        (stream,) = np.random.SeedSequence(seed).spawn(1)
+        spawned = np.random.default_rng(stream).multinomial(shots, probabilities)
+        assert sample_counts(probabilities, shots, seed).tolist() == spawned.tolist()
+
+
+def test_expected_output_rejects_an_unknown_oracle(space):
+    with pytest.raises(ValueError, match="unknown oracle 'bogus'"):
+        expected_output(space, "bogus")
 
 
 def test_sample_counts_validation():

@@ -207,6 +207,33 @@ def test_waveplate_spec_validation():
         WaveplateSpec(0.0, APERTURE_L0, crosstalk=1.5)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: QPlateSpec(1, True), "eta"),
+        (lambda: QPlateSpec(1, eta=False), "eta"),
+        (lambda: QPlateSpec(True), "q"),
+        (lambda: WaveplateSpec(True), "theta"),
+        (lambda: WaveplateSpec(0.0, APERTURE_L0, True), "crosstalk"),
+        (lambda: WaveplateSpec(0.0, APERTURE_FULL, crosstalk=False), "crosstalk"),
+    ],
+)
+def test_specs_reject_a_bool_number(make, name):
+    # a bool passes each range check as 0 or 1, so it is refused by type
+    with pytest.raises(TypeError, match=f"^{name} must be a number, not a bool$"):
+        make()
+
+
+@pytest.mark.parametrize("oracle_id", ["identity", "cnot"])
+def test_oracles_reject_a_bool_eta_or_crosstalk(oracle_id):
+    from spinorbit.deutsch import run
+
+    with pytest.raises(TypeError, match="^eta must be"):
+        run(oracle_id, eta=True)
+    with pytest.raises(TypeError, match="^crosstalk must be"):
+        run(oracle_id, crosstalk=True)
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308])
 def test_hwp_rejects_non_finite_theta(space, theta):
     with pytest.raises(ValueError, match="theta"):

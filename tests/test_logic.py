@@ -21,6 +21,8 @@ from spinorbit import (
 )
 from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
 from spinorbit.dsl import Preparation, compile_bench, parse
+from spinorbit.deutsch import run
+from spinorbit.errors import TruncationError
 from spinorbit.logic import _BIT_ORDER, LOGICAL_STATES, OracleBench, oracle_recipe
 from spinorbit.state import LEFT, MAX_L_MAX, RIGHT, make_space
 
@@ -139,6 +141,68 @@ def test_build_oracle_builds_its_recipe_statements(space):
     for op, reference in zip(build_oracle(space, "zcnot", 0.97, 0.3).elements, built.elements):
         assert op.survival_factor == reference.survival_factor
         assert np.array_equal(op.matrix, reference.matrix)
+
+
+#: per oracle, how many ops each factory builds: one per distinct statement
+_DISTINCT_BUILDS = {
+    "identity": {"qplate": 1, "lens": 1},
+    "not": {"qplate": 1, "lens": 1, "hwp": 1, "dove_prism": 1},
+    "cnot": {"qplate": 1, "lens": 1, "hwp": 1},
+    "zcnot": {"qplate": 1, "lens": 1, "hwp": 2},
+}
+
+
+@pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+def test_build_oracle_builds_each_distinct_statement_once(space, monkeypatch, oracle_id):
+    from spinorbit import elements
+
+    calls = {}
+    for name in ("qplate", "hwp", "dove_prism", "lens"):
+        def counted(*args, _name=name, _factory=getattr(elements, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _factory(*args, **kwargs)
+
+        monkeypatch.setattr(elements, name, counted)
+    bench = build_oracle(space, oracle_id, eta=0.97, crosstalk=0.3)
+    assert calls == _DISTINCT_BUILDS[oracle_id]
+    assert len(bench.elements) == len(oracle_recipe(oracle_id))
+
+
+@pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+@pytest.mark.parametrize("eta, crosstalk", [(1.0, 0.0), (0.97, 0.3)])
+def test_repeated_ops_equal_ops_built_afresh(oracle_id, eta, crosstalk):
+    from spinorbit import dsl
+
+    space = make_space(6)
+    for op, (label, stmt) in zip(
+        build_oracle(space, oracle_id, eta, crosstalk).elements,
+        oracle_recipe(oracle_id, eta, crosstalk),
+    ):
+        fresh = dsl._build_element(space, label, *dsl._element_spec(stmt))
+        assert (op.label, op.kind, repr(op.survival_factor)) == (
+            fresh.label, fresh.kind, repr(fresh.survival_factor)
+        )
+        assert op.matrix.tobytes() == fresh.matrix.tobytes()
+        assert (op.input_mask is None) == (fresh.input_mask is None)
+        if op.input_mask is not None:
+            assert op.input_mask.tobytes() == fresh.input_mask.tobytes()
+
+
+def test_repeated_ops_keep_their_labels_and_share_read_only_arrays(space):
+    ops = {op.label: op for op in build_oracle(space, "zcnot", 0.97, 0.3).elements}
+    for first, repeat in (("QP1", "QP2"), ("L1", "L2"), ("HWP2", "HWP3")):
+        a, b = ops[first], ops[repeat]
+        assert a is not b and (a.label, b.label) == (first, repeat)
+        assert (a.kind, a.survival_factor) == (b.kind, b.survival_factor)
+        for name in ("source", "blocks", "input_mask", "_blocked"):
+            shared = getattr(a, name)
+            assert getattr(b, name) is shared
+            assert shared is None or not shared.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            b.label = first
+    # each op keeps its own label in the truncation error it raises
+    with pytest.raises(TruncationError, match=r"^QP2 cannot act on \|L,\+4>: "):
+        run("cnot", crosstalk=0.3, l_max=4)
 
 
 def test_build_oracle_rejects_unknown(space):

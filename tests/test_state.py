@@ -221,9 +221,8 @@ def test_norm_and_apply_keep_the_bits_of_np_linalg_norm(space):
     for _ in range(50):
         amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
         state = PhotonState(space, amps / np.linalg.norm(amps))
-        # apply divides by the norm, then PhotonState divides by it again
+        # PhotonState divides by the norm once; apply does not divide first
         once = _act(op, state.amplitudes)
-        once = once / np.linalg.norm(once)
         assert apply(op, state).amplitudes.tobytes() == (once / np.linalg.norm(once)).tobytes()
 
 
