@@ -129,6 +129,11 @@ def classify(
 ) -> str:
     """Verdict from the two detector probabilities (conditioned on survival)."""
     _check_threshold(threshold)
+    for name, p in (("p_balanced_port", p_balanced_port), ("p_constant_port", p_constant_port)):
+        # written so that NaN fails too; a sum of squares of a unit vector's
+        # parts can pass 1 by a few ulp, and no more
+        if not 0.0 <= p <= 1.0 + 1e-12:
+            raise ValueError(f"{name} must be a probability in [0, 1], got {p!r}")
     if p_constant_port > threshold:
         return CONSTANT
     if p_balanced_port > threshold:
@@ -210,10 +215,15 @@ def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.n
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     probs = np.asarray(probabilities, dtype=float)
+    if not np.isfinite(probs).all():
+        raise ValueError(f"probabilities must be finite, got {probs.tolist()!r}")
     if (probs < -1e-12).any():
         raise ValueError("negative outcome probability")
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
+    total = probs.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"probabilities must have a positive, finite sum, got {total!r}")
+    probs = probs / total
     stream = np.random.SeedSequence(seed, spawn_key=(0,))
     return np.random.Generator(np.random.PCG64(stream)).multinomial(shots, probs)
 

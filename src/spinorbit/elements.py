@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,17 +42,27 @@ APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
 
 
-def _reject_bools(spec, *fields: str) -> None:
-    for name in fields:  # a bool would pass every range check as 0 or 1
-        if isinstance(getattr(spec, name), bool):
+def _require_numbers(spec, *fields: str) -> None:
+    for name in fields:
+        value = getattr(spec, name)
+        if type(value) is float:  # the usual case, without the slower ABC check below
+            continue
+        if isinstance(value, bool):  # it would pass every range check as 0 or 1
             raise TypeError(f"{name} must be a number, not a bool")
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a number, got {type(value).__name__}")
 
 
 def _as_fraction(q) -> Fraction:
+    if isinstance(q, bool):
+        raise TypeError("q must be a number, not a bool")
     if isinstance(q, Fraction):
         return q
     if isinstance(q, (int, float, str)):
-        return Fraction(q)
+        try:
+            return Fraction(q)
+        except (ValueError, OverflowError, ZeroDivisionError):  # NaN, +-inf, "1/0", ...
+            raise ValueError(f"q must be a finite rational, got {q!r}") from None
     raise TypeError(f"topological charge must be rational, got {type(q).__name__}")
 
 
@@ -63,8 +74,8 @@ class QPlateSpec:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        _reject_bools(self, "q", "eta")
         object.__setattr__(self, "q", _as_fraction(self.q))
+        _require_numbers(self, "eta")
         # in lowest terms, 2q is an integer iff q's denominator is 1 or 2
         if self.q.denominator > 2:
             raise ValueError(
@@ -89,7 +100,7 @@ class WaveplateSpec:
     crosstalk: float = 0.0
 
     def __post_init__(self) -> None:
-        _reject_bools(self, "theta", "crosstalk")
+        _require_numbers(self, "theta", "crosstalk")
         # the circular-basis block holds e^{2i theta}, so 2*theta must be finite
         if not math.isfinite(2.0 * self.theta):
             raise ValueError(f"theta must be finite, and so must 2*theta; got {self.theta!r}")
@@ -191,4 +202,4 @@ def dove_prism(
 
 def lens(space: ModeSpace, label: str = "lens") -> ElementOp:
     """Identity in the mode-index representation; kept so benches mirror the layout."""
-    return ElementOp(space, source=np.arange(space.dimension), label=label)
+    return ElementOp(space, label=label)

@@ -19,6 +19,11 @@ which fixes the amplitude identities (|L> - |R>)/sqrt(2) = i|V> and
 Loss is heralded and scalar: a photon either traverses an element intact or is
 lost entirely, so a lossy element keeps a unitary matrix and contributes a
 survival factor < 1 instead of attenuating individual modes.
+
+Every operator has one form, a gather of the mode vector followed by a 2x2
+polarization block per OAM index (`ElementOp`).  A chain of them is applied
+element by element (`apply_chain`, or `compose` and `apply`) and never
+multiplied out.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ POLARIZATIONS = (LEFT, RIGHT)
 #: smallest truncation that keeps the composite CNOT bench representable
 #: (its intermediate states reach OAM +/-4)
 MIN_L_MAX = 4
-#: largest truncation: dim is then 4002.  Elements and `compose` products hold
-#: O(dim) entries; only reading `ElementOp.matrix` (or passing a dense matrix)
-#: takes a dense dim x dim array, 16 * 4002**2 B, about 256 MB
+#: largest truncation: dim is then 4002.  An element holds O(dim) numbers and a
+#: `compose` result only its factors; only reading `ElementOp.matrix` takes a
+#: dense dim x dim array, 16 * 4002**2 B, about 256 MB
 MAX_L_MAX = 1000
 #: truncation used when a bench or a run names none
 DEFAULT_L_MAX = 6
@@ -173,68 +178,73 @@ LOSSY = "lossy"
 
 
 class ElementOp:
-    """Operator on the mode space, lossy iff `survival_factor` < 1, in one of two forms.
+    """Operator on the mode space, lossy iff `survival_factor` < 1: structured
+    factors, applied in turn.
 
-    * Entries, ``ElementOp(space, matrix)``: the nonzero entries of a dim x dim
-      matrix, checked for U+U = I on those entries by `_unitarity_deviation`.  The benches' products are near
-      permutations, about dim entries, so this form is O(dim), not O(dim^2).
-      `compose` builds it straight from the product's entries, with no dense
-      matrix; `apply` sums vals * amplitude over the entries.
-    * Structured, ``ElementOp(space, source=..., blocks=...)``: U = B P.  The
-      gather P is out[i] = in[source[i]]; `source` (copied) is checked to be a
-      permutation of range(dim) by one `bincount`.  B, if given, applies the 2x2
-      circular-basis block ``blocks[k]`` to the (L, R) pair of OAM index
-      l = k - l_max, so `blocks` has shape (2*l_max + 1, 2, 2).  Each block is
-      checked unitary; `hwp` passes only its distinct blocks (`_from_blocks`).
-      Every element factory builds this form.
+    A factory builds one factor, ``ElementOp(space, source=..., blocks=...)``:
+    U = B P.  The gather P is out[i] = in[source[i]]; `source` (copied) is
+    checked to be a permutation of range(dim) by one `bincount`, and is the
+    identity, unchecked, when not given.  B, if given, applies the 2x2
+    circular-basis block ``blocks[k]`` to the (L, R) pair of OAM index
+    l = k - l_max, so `blocks` has shape (2*l_max + 1, 2, 2).  Each block is
+    checked unitary; `hwp` passes only its distinct blocks (`_from_blocks`).
+    `compose` builds an op whose `factors` are its elements' factors; it has no
+    `source`, `blocks` or `input_mask` of its own.
 
-    In both forms `matrix` is a read-only dense view, built on first use.
-    The matrix is unitary; a lossy element additionally carries
-    survival_factor < 1.  `input_mask`, when present, marks the basis states
-    the element is defined on: applying it to a state with amplitude on an
-    unmasked (edge-of-truncation) mode, listed once at construction, raises
+    `matrix` is a read-only dense view, built on first use.  The matrix is
+    unitary; a lossy element additionally carries survival_factor < 1.
+    `input_mask`, when present, marks the basis states the element is defined
+    on: applying it to a state with amplitude on an unmasked
+    (edge-of-truncation) mode, listed once at construction, raises
     TruncationError instead of silently corrupting the result.  Immutable.
     """
 
     def __init__(
         self,
         space: ModeSpace,
-        matrix: np.ndarray | None = None,
+        *,
         survival_factor: float = 1.0,
         label: str = "",
         input_mask: np.ndarray | None = None,
-        *,
         source: np.ndarray | None = None,
         blocks: np.ndarray | None = None,
     ) -> None:
-        if (matrix is None) == (source is None):
-            raise ValueError("give either a dense matrix or a gather source")
-        entries = None
-        if matrix is not None:
-            if blocks is not None:
-                raise ValueError("blocks belong to the structured form, not to a matrix")
-            dim = space.dimension
-            mat = np.array(matrix, dtype=complex)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-            rows, cols = np.divmod(np.flatnonzero(mat), dim)
-            entries = rows, cols, mat[rows, cols]
-        self._setup(space, survival_factor, label, input_mask, entries, source, blocks)
-
-    @classmethod
-    def _from_entries(cls, space: ModeSpace, entries, **tags) -> ElementOp:
-        """Entries form from nonzero (rows, cols, vals), with no dense matrix."""
-        op = cls.__new__(cls)
-        op._setup(space, entries=entries, source=None, blocks=None, **tags)
-        return op
+        self._setup(space, survival_factor, label)
+        dim = space.dimension
+        # a copy, so that the caller's array cannot change the op
+        src = np.arange(dim) if source is None else np.asarray(source)
+        src = src.astype(np.intp) if src.dtype.kind in "iu" else src
+        # viewed unsigned a negative index is huge, so the largest bounds both
+        # ends; then dim indices filling dim bins, none empty, are a permutation
+        if source is not None and (
+            src.shape != (dim,) or src.dtype != np.intp
+            or (unsigned := src.view(np.uintp))[unsigned.argmax()] >= dim
+            or np.count_nonzero(np.bincount(src, minlength=dim)) < dim
+        ):
+            raise ValueError(
+                f"matrix for {label or 'element'} is not unitary (source is "
+                f"not a permutation of range({dim}))"
+            )
+        if blocks is not None:
+            blocks = np.array(blocks, dtype=complex)
+            if blocks.shape != (space.n_oam, 2, 2):
+                raise ValueError(
+                    f"blocks have shape {blocks.shape}, expected ({space.n_oam}, 2, 2)"
+                )
+            self._require_unitary(_blocks_deviation(blocks.tolist()))
+        if input_mask is not None:
+            input_mask = np.array(input_mask, dtype=bool)
+            if input_mask.shape != (dim,):
+                raise ValueError("input_mask length must equal the dimension")
+        self._set_arrays(src, blocks, input_mask)
 
     @classmethod
     def _from_blocks(cls, space: ModeSpace, distinct, index, label: str) -> ElementOp:
         """Identity gather, ``blocks = distinct[index]``; checks only `distinct`."""
         op = cls.__new__(cls)
-        op._setup(space, 1.0, label, None, None, None, None)
+        op._setup(space, 1.0, label)
         op._require_unitary(_blocks_deviation(distinct.tolist()))
-        object.__setattr__(op, "blocks", _frozen(distinct.take(index, axis=0)))
+        op._set_arrays(np.arange(space.dimension), distinct.take(index, axis=0), None)
         return op
 
     def _relabel(self, label: str) -> ElementOp:
@@ -243,7 +253,7 @@ class ElementOp:
         op.__dict__.update(vars(self), label=label)
         return op
 
-    def _setup(self, space, survival_factor, label, input_mask, entries, source, blocks):
+    def _setup(self, space, survival_factor, label, factors=None) -> None:
         # written so that a NaN factor fails too
         if not 0.0 < survival_factor <= 1.0:
             raise ValueError(f"survival_factor must lie in (0, 1], got {survival_factor!r}")
@@ -252,48 +262,14 @@ class ElementOp:
         init(self, "kind", LOSSY if survival_factor < 1.0 else UNITARY)
         init(self, "survival_factor", survival_factor)
         init(self, "label", label)
+        init(self, "_factors", factors)
         init(self, "_matrix", None)
-        dim = space.dimension
-        if entries is not None:
-            self._require_unitary(_unitarity_deviation(*entries, dim))
-            rows, cols, vals = entries
-            init(self, "_entries", (_frozen(rows), _frozen(cols), _frozen(vals)))
-            init(self, "source", None)
-            init(self, "blocks", None)
-        else:
-            # a copy, so that the caller's array cannot change the op
-            src = np.arange(dim) if source is None else np.asarray(source)
-            src = src.astype(np.intp) if src.dtype.kind in "iu" else src
-            # viewed unsigned a negative index is huge, so the largest bounds both
-            # ends; then dim indices filling dim bins, none empty, are a permutation
-            if source is not None and (
-                src.shape != (dim,) or src.dtype != np.intp
-                or (unsigned := src.view(np.uintp))[unsigned.argmax()] >= dim
-                or np.count_nonzero(np.bincount(src, minlength=dim)) < dim
-            ):
-                raise ValueError(
-                    f"matrix for {label or 'element'} is not unitary (source is "
-                    f"not a permutation of range({dim}))"
-                )
-            init(self, "_entries", None)
-            init(self, "source", _frozen(src))
-            if blocks is not None:
-                blk = np.array(blocks, dtype=complex)
-                if blk.shape != (space.n_oam, 2, 2):
-                    raise ValueError(
-                        f"blocks have shape {blk.shape}, expected ({space.n_oam}, 2, 2)"
-                    )
-                self._require_unitary(_blocks_deviation(blk.tolist()))
-                blk = _frozen(blk)
-            else:
-                blk = None
-            init(self, "blocks", blk)
-        if input_mask is not None:
-            mask = np.array(input_mask, dtype=bool)
-            if mask.shape != (dim,):
-                raise ValueError("input_mask length must equal the dimension")
-            input_mask = _frozen(mask)
-        init(self, "input_mask", input_mask)
+
+    def _set_arrays(self, source, blocks, input_mask) -> None:
+        init = object.__setattr__
+        init(self, "source", None if source is None else _frozen(source))
+        init(self, "blocks", None if blocks is None else _frozen(blocks))
+        init(self, "input_mask", None if input_mask is None else _frozen(input_mask))
         init(self, "_blocked", None if input_mask is None else _frozen((~input_mask).nonzero()[0]))
 
     def _require_unitary(self, deviation) -> None:
@@ -308,17 +284,15 @@ class ElementOp:
         raise AttributeError(f"ElementOp is immutable; cannot set {name!r}")
 
     @property
-    def matrix(self) -> np.ndarray:
-        """Dense dim x dim matrix (read-only; built on first use).
+    def factors(self) -> tuple[ElementOp, ...]:
+        """The structured ops applied in turn: a composite's, or this op alone."""
+        return self._factors or (self,)
 
-        It is scattered from the nonzero entries; a structured op's entries
-        are its own action on the identity, by `_step`.
-        """
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense dim x dim matrix (read-only; built on first use): `_act` on the identity."""
         if self._matrix is None:
-            dim = self.space.dimension
-            rows, cols, vals = self._entries or _step(self, *_identity_entries(dim))
-            dense = np.zeros((dim, dim), dtype=complex)
-            dense[rows, cols] = vals
+            dense = _act(self, np.eye(self.space.dimension, dtype=complex))
             object.__setattr__(self, "_matrix", _frozen(dense))
         return self._matrix
 
@@ -338,138 +312,19 @@ def _blocks_deviation(blocks: list) -> float:
     return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal keys with one sort, in place of `np.unique`.
-
-    Returns (order, slot): ``keys[order]`` is ascending, and ``slot[i]`` is
-    the position in it of the first key equal to ``keys[i]``, so equal keys
-    share a slot in range(keys.size).  Slots that start no group are never
-    used: callers sum or scatter into keys.size slots and skip the empty
-    ones.  This avoids the fixed cost of ``np.unique(return_inverse=True)``,
-    which dominated on small products.
-    """
-    order = keys.argsort()
-    return order, keys[order].searchsorted(keys)
-
-
-def _unitarity_deviation(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int
-) -> float:
-    """max |U+U - I| of a dim x dim matrix given by its nonzero entries.
-
-    The entries may come in any order.  (U+U)[j, k] sums
-    conj(U[i, j]) U[i, k] over the rows i, so only pairs of entries that
-    share a row contribute: the row-wise sparse product of Gustavson (ACM
-    TOMS 4(3), 1978).  The diagonal is each column's squared norm, 0 for a
-    column with no entry.  Off the diagonal only rows with two or more
-    entries contribute, and (U+U)[k, j] is the conjugate of (U+U)[j, k], so
-    each unordered pair is summed once.  This allocates O(pairs); when the
-    pairs outnumber dim^2, the dense product is used instead.  A NaN entry
-    makes the deviation NaN.
-    """
-    row_len = np.bincount(rows, minlength=dim)
-    n_pairs = int(row_len @ row_len)
-    if n_pairs > dim * dim:
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = vals
-        return float(np.abs(mat.conj().T @ mat - np.eye(dim)).max())
-    norms = np.bincount(cols, vals.real ** 2 + vals.imag ** 2, dim)
-    deviation = np.abs(norms - 1.0).max()
-    n_cross = (n_pairs - rows.size) // 2
-    if n_cross:
-        order = (rows * dim + cols).argsort()
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        # in row-major order, entry e pairs with the `later[e]` entries after
-        # it in its row, so every pair has j < k; pair p of e's run is
-        # e + 1 + p - run_start[e]
-        later = row_len.cumsum()[rows] - np.arange(1, rows.size + 1)
-        run_start = later.cumsum() - later
-        first = np.arange(rows.size).repeat(later)
-        second = first + 1 + np.arange(n_cross) - run_start.repeat(later)
-        _, slot = _group(cols[first] * dim + cols[second])
-        terms = vals[first].conj() * vals[second]
-        gram = np.bincount(slot, terms.real, n_cross) + 1j * np.bincount(
-            slot, terms.imag, n_cross
-        )
-        # np.maximum, unlike max(), keeps a NaN from either side
-        deviation = np.maximum(deviation, np.abs(gram).max())
-    return float(deviation)
-
-
-def _identity_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    diagonal = np.arange(dim)
-    return diagonal, diagonal, np.ones(dim, dtype=complex)
-
-
-def _step(
-    op: ElementOp, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of U @ T, with U = `op` and T given by its nonzero entries.
-
-    A gather moves T's row source[i] to row i.  A block element then mixes,
-    for each (l, column) that T touches, the (L, R) pair of that column with
-    the l block, by the same einsum `_act` applies to a vector, so each
-    product entry has the bits that entry of the dense product would have;
-    exact zeros are dropped.
-    """
-    n_oam = op.space.n_oam
-    dim = 2 * n_oam
-    if op._entries is not None:
-        return _product(op._entries, rows, cols, vals, dim)
-    rows = op.source.argsort()[rows]
-    if op.blocks is None:
-        return rows, cols, vals
-    pol, k = divmod(rows, n_oam)
-    order, group = _group(k * dim + cols)
-    pairs = np.zeros((2, rows.size), dtype=complex)
-    pairs[pol, group] = vals
-    k, cols = k[order], cols[order]
-    mixed = np.einsum("kpq,qk->pk", op.blocks.take(k, axis=0), pairs).ravel()
-    keep = mixed.nonzero()[0]
-    return np.concatenate((k, k + n_oam))[keep], np.concatenate((cols, cols))[keep], mixed[keep]
-
-
-def _product(
-    entries, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of A @ T, both given by their nonzero entries."""
-    a_rows, a_cols, a_vals = entries
-    # entry (j, c) of T meets each entry (i, j) of A's column j
-    by_col = a_cols.argsort(kind="stable")
-    col_len = np.bincount(a_cols, minlength=dim)
-    fan = col_len[rows]
-    t = np.arange(rows.size).repeat(fan)
-    skip = (col_len.cumsum() - col_len)[rows] - (fan.cumsum() - fan)
-    a = by_col[np.arange(t.size) + skip.repeat(fan)]
-    terms = a_vals[a] * vals[t]
-    keys = a_rows[a] * dim + cols[t]
-    order, slot = _group(keys)
-    sums = np.bincount(slot, terms.real, t.size) + 1j * np.bincount(slot, terms.imag, t.size)
-    keep = sums.nonzero()[0]
-    out_rows, out_cols = divmod(keys[order[keep]], dim)
-    return out_rows, out_cols, sums[keep]
-
-
 def _act(op: ElementOp, vector: np.ndarray) -> np.ndarray:
-    """U @ vector.
+    """U @ vector, for one vector or each column of a (dim, m) array.
 
-    The entries form sums vals * vector[cols] into rows.  A structured op
-    gathers, then mixes each (L, R) pair with its 2x2 block: the mode axis
-    reshaped to (2, n_oam) is (pol, l + l_max), the README order.
+    Each factor in turn gathers, then mixes each (L, R) pair with its 2x2
+    block: the mode axis reshaped to (2, n_oam) is (pol, l + l_max), the
+    README order.  No guard is checked.
     """
-    if op._entries is not None:
-        rows, cols, vals = op._entries
-        terms = vals * vector[cols]
-        dim = op.space.dimension
-        out = np.empty(dim, dtype=complex)
-        out.real = np.bincount(rows, terms.real, dim)
-        out.imag = np.bincount(rows, terms.imag, dim)
-        return out
-    out = vector[op.source]
-    if op.blocks is not None:
-        pairs = out.reshape(2, op.space.n_oam)
-        out = np.einsum("kpq,qk->pk", op.blocks, pairs).reshape(out.shape)
-    return out
+    for factor in op.factors:
+        vector = vector[factor.source]
+        if factor.blocks is not None:
+            pairs = vector.reshape((2, op.space.n_oam) + vector.shape[1:])
+            vector = np.einsum("kpq,qk...->pk...", factor.blocks, pairs).reshape(vector.shape)
+    return vector
 
 
 def _check_guard(op: ElementOp, amplitudes: np.ndarray) -> None:
@@ -487,14 +342,17 @@ def _check_guard(op: ElementOp, amplitudes: np.ndarray) -> None:
 
 
 def apply(op: ElementOp, state: PhotonState) -> PhotonState:
-    """Apply an element: new amplitudes, renormalized by `PhotonState`; survival multiplied."""
+    """Apply an element, factor by factor, each checking its guard first: new
+    amplitudes, renormalized by `PhotonState`; survival multiplied."""
     if op.space.dimension != state.space.dimension:
         raise ValueError(
             f"dimension mismatch: operator is {op.space.dimension}, state is "
             f"{state.space.dimension}"
         )
-    _check_guard(op, state.amplitudes)
-    amps = _act(op, state.amplitudes)
+    amps = state.amplitudes
+    for factor in op.factors:
+        _check_guard(factor, amps)
+        amps = _act(factor, amps)
     return PhotonState(state.space, amps, survival=state.survival * op.survival_factor)
 
 
@@ -512,36 +370,27 @@ def fidelity_up_to_phase(a: PhotonState, b: PhotonState) -> float:
 
 
 def compose(ops: Sequence[ElementOp]) -> ElementOp:
-    """Compose elements in application order (last element's matrix leftmost).
+    """Chain elements in application order (last element's matrix leftmost).
 
-    The product is carried as its nonzero entries and each element is applied
-    to them (see `_step`), so no dense dim x dim matrix is built: an element
-    costs O(entries), and the benches' products have about dim of them.  The
-    result is an ElementOp in the entries form, checked for unitarity.  The
-    composite survival factor is the product of the factors, so it is lossy
-    iff some input is, and the input mask excludes every basis
-    state whose trajectory would touch a guarded mode of any stage.
+    Nothing is multiplied out: the result holds the elements' factors, nested
+    composites flattened, and `apply` runs them in turn, checking each
+    factor's guard, so it raises where `apply_chain` would, under the
+    factor's label.  The survival factor is the product of the elements'
+    factors, so it is lossy iff some input is.  There is no unitarity check:
+    each factor was checked when it was built.
     """
     if not ops:
         raise ValueError("cannot compose an empty element list")
     space = ops[0].space
-    dim = space.dimension
     for op in ops:
         if op.space.l_max != space.l_max:
             raise ValueError("composed elements must share one mode space")
-    rows, cols, vals = _identity_entries(dim)
-    mask = np.ones(dim, dtype=bool)
-    for op in ops:
-        if op.input_mask is not None:
-            blocked = ~op.input_mask[rows]
-            leakage = np.bincount(cols[blocked], np.abs(vals[blocked]), dim)
-            mask &= leakage <= GUARD_TOL
-        rows, cols, vals = _step(op, rows, cols, vals)
-    label = " -> ".join(op.label or "element" for op in ops)
-    return ElementOp._from_entries(
+    composite = ElementOp.__new__(ElementOp)
+    composite._setup(
         space,
-        (rows, cols, vals),
-        survival_factor=math.prod(op.survival_factor for op in ops),
-        label=label,
-        input_mask=None if mask.all() else mask,
+        math.prod(op.survival_factor for op in ops),
+        " -> ".join(op.label or "element" for op in ops),
+        tuple(factor for op in ops for factor in op.factors),
     )
+    composite._set_arrays(None, None, None)
+    return composite

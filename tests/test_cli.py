@@ -407,13 +407,15 @@ def test_verify_unitarity_agrees_with_the_dense_product(monkeypatch, l_max):
     from spinorbit import verify
 
     ops = []
-    real_step = verify._step
 
-    def recording_step(op, *entries):
-        ops.append(op)
-        return real_step(op, *entries)
+    def recording(factory):
+        def build(*args, **kwargs):
+            ops.append(factory(*args, **kwargs))
+            return ops[-1]
+        return build
 
-    monkeypatch.setattr(verify, "_step", recording_step)
+    for name in ("lens", "dove_prism", "qplate", "hwp"):
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
     results = verify.verify_unitarity(l_max)
     assert len(ops) == len(results) == 26
     for op, result in zip(ops, results):
@@ -438,6 +440,28 @@ def test_verify_unitarity_checks_what_the_constructor_let_through(monkeypatch):
     results = verify_unitarity(6)
     failed = [result.name for result in results if not result.passed]
     assert len(failed) == 16 and all(name.startswith("unitarity hwp") for name in failed)
+
+
+def test_verify_unitarity_fails_a_gather_that_is_not_a_permutation(monkeypatch):
+    import numpy as np
+
+    from spinorbit import verify
+
+    real = verify.dove_prism
+
+    def dove_prism(space, spec):
+        # a prism the constructor accepted, then given a repeated index
+        op = real(space, spec)
+        source = np.array(op.source)
+        source[0] = source[1]
+        object.__setattr__(op, "source", source)
+        return op
+
+    monkeypatch.setattr(verify, "dove_prism", dove_prism)
+    failed = [result for result in verify.verify_unitarity(6) if not result.passed]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("unitarity dove", "source is not a permutation of range(26)")
+    ]
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

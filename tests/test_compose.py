@@ -1,10 +1,11 @@
-"""`compose` against the dense product it replaced.
+"""`compose` against the dense product it no longer forms, and against `apply_chain`.
 
-`dense_compose` below is the dense loop `compose` used to run: a dim x dim
+`dense_compose` below is the dense loop `compose` once ran: a dim x dim
 running matrix, each element applied to its columns by the structured
 gather and per-l `einsum`, and the guard mask summed over the blocked rows.
-`compose` now carries only the product's nonzero entries and must give the
-same bytes for every chain of structured elements.
+`compose` now multiplies nothing out: it holds its elements' factors, and
+`apply` runs them in turn, so it must act as `apply_chain` does, errors
+included, while its `matrix` view keeps the dense loop's bytes.
 """
 
 import math
@@ -17,24 +18,25 @@ import pytest
 from benchgen import random_bench
 from spinorbit import (
     ORACLE_IDS,
-    ElementOp,
+    TruncationError,
     apply,
+    apply_chain,
+    basis_state,
     build_oracle,
     compile_bench,
     compose,
+    encoded_restriction,
     make_space,
     truth_table,
 )
 from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
-from spinorbit.state import GUARD_TOL, LOSSY, UNITARY, PhotonState
+from spinorbit.state import GUARD_TOL, LOSSY, POLARIZATIONS, UNITARY, PhotonState
 
 # --- dense reference -------------------------------------------------------------
 
 
 def dense_act(op, matrix):
     """U @ matrix, by the structured gather and per-l einsum over all columns."""
-    if op.source is None:
-        return op.matrix @ matrix
     out = matrix[op.source]
     if op.blocks is not None:
         pairs = out.reshape(2, op.space.n_oam, matrix.shape[1])
@@ -61,13 +63,20 @@ def dense_compose(ops):
 
 
 def assert_same_bytes(composed, reference):
-    matrix, mask, survival, kind, label = reference
+    matrix, _, survival, kind, label = reference
     assert composed.matrix.tobytes() == matrix.tobytes()
-    if mask is None:
-        assert composed.input_mask is None
-    else:
-        assert composed.input_mask.tobytes() == mask.tobytes()
+    # a composite has no mask of its own: each factor checks its guard
+    assert composed.input_mask is None and composed.source is None
     assert (composed.survival_factor, composed.kind, composed.label) == (survival, kind, label)
+
+
+def outcome(fn):
+    """(amplitudes, survival) of a state, or (error type, message)."""
+    try:
+        state = fn()
+    except TruncationError as exc:
+        return TruncationError, str(exc)
+    return state.amplitudes, state.survival
 
 
 # --- byte equality -----------------------------------------------------------------
@@ -100,20 +109,59 @@ def test_random_bench_chains_match_the_dense_loop_byte_for_byte():
             checked += 1
 
 
-def test_chain_with_entries_form_ops_matches_the_dense_product():
+def test_nested_composites_flatten_into_their_factors():
     space = make_space(6)
     u = hwp(space, WaveplateSpec(0.7))
-    u_dag = ElementOp(space, u.matrix.conj().T, label="hwp+")
-    cnot = compose(build_oracle(space, "cnot", eta=0.97, crosstalk=0.3).elements)
-    chain = [u, u_dag, hwp(space, WaveplateSpec(0.0, "l0_only", 0.3)), cnot, u]
+    cnot = build_oracle(space, "cnot", eta=0.97, crosstalk=0.3).elements
+    chain = [u, hwp(space, WaveplateSpec(0.0, "l0_only", 0.3)), compose(cnot), u]
     composed = compose(chain)
-    matrix, mask, survival, kind, label = dense_compose(chain)
-    assert np.abs(composed.matrix - matrix).max() <= 1e-15
-    assert np.array_equal(composed.input_mask, mask)
-    assert (composed.survival_factor, composed.kind, composed.label) == (survival, kind, label)
-    # an entries-form product composed again
-    twice = compose([cnot, cnot])
-    assert np.abs(twice.matrix - cnot.matrix @ cnot.matrix).max() <= 1e-15
+    flat = [u, chain[1], *cnot, u]
+    assert [f.label for f in composed.factors] == [op.label for op in flat]
+    assert composed.matrix.tobytes() == dense_compose(flat)[0].tobytes()
+    # the nested composite's label is its own elements' labels, joined
+    assert composed.label == " -> ".join(op.label for op in flat)
+    assert composed.survival_factor == 0.97 * 0.97
+    # a composite composed again
+    twice = compose([compose(cnot), compose(cnot)])
+    assert len(twice.factors) == 2 * len(cnot)
+    assert np.abs(twice.matrix - compose(cnot).matrix @ compose(cnot).matrix).max() <= 1e-15
+
+
+# --- against apply_chain -----------------------------------------------------------
+
+
+def _inputs(space, rng):
+    """Basis kets at random modes, edges included, and a random superposition."""
+    for _ in range(6):
+        pol = rng.choice(POLARIZATIONS)
+        yield basis_state(space, pol, rng.choice((-1, 1)) * rng.randint(0, space.l_max))
+    amps = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(space.dimension)])
+    yield PhotonState(space, amps / np.linalg.norm(amps))
+
+
+def test_apply_of_a_composite_equals_apply_chain_on_random_benches():
+    rng = random.Random(51)
+    checked = raised = 0
+    while checked < 150:
+        compiled = compile_bench(random_bench(rng))
+        if not compiled.elements:
+            continue
+        composed = compose(compiled.elements)
+        space = compiled.space
+        for state in [compiled.preparation.initial_state(space), *_inputs(space, rng)]:
+            expected = outcome(lambda: apply_chain(compiled.elements, state))
+            got = outcome(lambda: apply(composed, state))
+            if expected[0] is TruncationError:
+                # the same factor raises, under its own label
+                assert got == expected
+                assert got[1].partition(" cannot act")[0] in {op.label for op in compiled.elements}
+                raised += 1
+            else:
+                assert np.abs(got[0] - expected[0]).max() <= 1e-12
+                assert abs(got[1] - expected[1]) <= 1e-12
+        checked += 1
+    # both outcomes were exercised
+    assert raised > 50
 
 
 @pytest.mark.parametrize("l_max", [4, 6])
@@ -128,38 +176,55 @@ def test_leak_into_a_guarded_mode_gives_the_dense_mask(l_max):
         qplate(space, QPlateSpec("1/2", eta=0.9)),
     ]
     composed = compose(chain)
-    reference = dense_compose(chain)
-    assert_same_bytes(composed, reference)
+    _, mask, _, _, _ = dense_compose(chain)
     # later stages excluded inputs that the first plate alone accepts
-    assert np.count_nonzero(~composed.input_mask) > np.count_nonzero(~first.input_mask)
+    assert np.count_nonzero(~mask) > np.count_nonzero(~first.input_mask)
+    # a basis ket raises exactly where the dense loop's mask excludes it, and
+    # with apply_chain's message, which names the factor, not the composite
+    for index in range(space.dimension):
+        ket = basis_state(space, *space.basis_label(index))
+        expected = outcome(lambda: apply_chain(chain, ket))
+        got = outcome(lambda: apply(composed, ket))
+        assert (got[0] is TruncationError) == (not mask[index])
+        if got[0] is TruncationError:
+            assert got == expected
+            assert " -> " not in got[1]
+        else:
+            assert got[0].tobytes() == expected[0].tobytes()
 
 
 def test_compose_at_the_largest_truncation_holds_no_dense_matrix():
     space = make_space(1000)
     dim = space.dimension
     bench = build_oracle(space, "zcnot")
-    tracemalloc.start()
-    try:
-        composed = compose(bench.elements)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one dense complex matrix would take 16 * dim^2 bytes
-    assert peak < dim * dim
-    assert composed.input_mask is not None
+    for call in (
+        lambda: compose(bench.elements),
+        lambda: truth_table(bench),
+        lambda: encoded_restriction(compose(bench.elements)),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense complex matrix would take 16 * dim^2 bytes
+        assert peak < dim * dim
     assert truth_table(bench) == truth_table(build_oracle(make_space(6), "zcnot"))
 
 
 @pytest.mark.parametrize("l_max", [6, 64])
-def test_apply_of_an_entries_form_op_matches_its_matrix(l_max):
+def test_apply_of_a_composite_matches_its_matrix(l_max):
     space = make_space(l_max)
     rng = np.random.default_rng(l_max)
     for oracle_id in ORACLE_IDS:
-        composed = compose(build_oracle(space, oracle_id, eta=0.97, crosstalk=0.3).elements)
+        elements = build_oracle(space, oracle_id, eta=0.97, crosstalk=0.3).elements
+        composed = compose(elements)
+        _, mask, _, _, _ = dense_compose(elements)
         for _ in range(5):
             amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
-            if composed.input_mask is not None:
-                amps[~composed.input_mask] = 0.0
+            if mask is not None:
+                amps[~mask] = 0.0
             state = PhotonState(space, amps / np.linalg.norm(amps))
             out = apply(composed, state)
             expected = composed.matrix @ state.amplitudes

@@ -234,6 +234,20 @@ def test_classify_thresholds():
             run("identity", threshold=threshold)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-9, 1.0 + 1e-9, 2.0, math.inf])
+def test_classify_rejects_a_value_that_is_no_probability(bad):
+    with pytest.raises(ValueError, match="^p_balanced_port must be a probability"):
+        classify(bad, 0.2)
+    with pytest.raises(ValueError, match="^p_constant_port must be a probability"):
+        classify(0.2, bad)
+
+
+def test_classify_allows_the_roundoff_of_a_unit_vector():
+    # measure_pbs sums squares of a unit vector's parts, which can pass 1 by an ulp
+    assert classify(1.0 + 2.2e-16, 0.0) == BALANCED
+    assert classify(0.0, 1.0 + 2.2e-16) == CONSTANT
+
+
 def measure_pbs_python_sum(state):
     """`measure_pbs` before its sum was vectorized: Python squares, summed in l order."""
     n_oam = state.space.n_oam
@@ -335,6 +349,18 @@ def test_sample_counts_validation():
         sample_counts([0.5, 0.5], 10, seed=0, batches=1)
     with pytest.raises(ValueError):
         sample_counts([-0.1, 1.1], 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "probabilities", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0]]
+)
+def test_sample_counts_rejects_probabilities_before_dividing(probabilities):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^probabilities must"):
+            sample_counts(probabilities, 10, seed=1)
 
 
 @pytest.mark.parametrize("crosstalk", [math.nan, math.inf, -math.inf, 1.5, -0.1])

@@ -78,6 +78,27 @@ def test_qplate_rejects_non_integer_2q():
         QPlateSpec(Fraction(1, 3))
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, "nan", "1/0", "one"])
+def test_qplate_spec_names_q_for_a_value_that_is_no_finite_rational(q):
+    with pytest.raises(ValueError, match="^q must be a finite rational"):
+        QPlateSpec(q)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: QPlateSpec(1, "1"), "eta"),
+        (lambda: QPlateSpec(1, None), "eta"),
+        (lambda: WaveplateSpec("0"), "theta"),
+        (lambda: WaveplateSpec(0.0, APERTURE_L0, "0.3"), "crosstalk"),
+        (lambda: WaveplateSpec(0.0, APERTURE_L0, 0.3j), "crosstalk"),
+    ],
+)
+def test_specs_name_a_field_that_is_no_number(make, name):
+    with pytest.raises(TypeError, match=f"^{name} must be a number, got "):
+        make()
+
+
 def test_qplate_eta_range():
     with pytest.raises(ValueError):
         QPlateSpec(1, eta=0.0)

@@ -1,19 +1,15 @@
-import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from benchgen import random_bench
 from spinorbit import (
-    ORACLE_IDS,
     ElementOp,
     TruncationError,
     apply,
     apply_chain,
     basis_state,
     build_oracle,
-    compile_bench,
     compose,
     fidelity_up_to_phase,
     make_space,
@@ -29,7 +25,6 @@ from spinorbit.state import (
     V_CIRCULAR,
     _act,
     _norm,
-    _unitarity_deviation,
 )
 
 
@@ -109,7 +104,7 @@ def test_linear_to_circular_is_unitary():
 
 
 def test_apply_identity_leaves_state(space):
-    op = ElementOp(space, np.eye(space.dimension, dtype=complex), label="id")
+    op = ElementOp(space, label="id")
     state = basis_state(space, LEFT, 3)
     out = apply(op, state)
     assert np.array_equal(out.amplitudes, state.amplitudes)
@@ -126,7 +121,7 @@ def test_apply_lossy_survival_multiplies(space):
 
 
 def test_apply_dimension_mismatch(space, space4):
-    op = ElementOp(space4, np.eye(space4.dimension, dtype=complex))
+    op = ElementOp(space4)
     with pytest.raises(ValueError, match="dimension mismatch"):
         apply(op, basis_state(space, LEFT, 0))
 
@@ -157,7 +152,8 @@ def test_global_phase_contract(space):
 
 def test_compose_u_udagger_is_identity(space):
     u = hwp(space, WaveplateSpec(0.7))
-    u_dag = ElementOp(space, u.matrix.conj().T, label="hwp+")
+    # U = B on the identity gather, so U+ is the blocks' conjugate transposes
+    u_dag = ElementOp(space, blocks=u.blocks.conj().transpose(0, 2, 1), label="hwp+")
     combined = compose([u, u_dag])
     assert np.abs(combined.matrix - np.eye(space.dimension)).max() <= 1e-12
     assert not combined.is_lossy
@@ -244,62 +240,35 @@ def test_photon_state_rejects_non_finite_amplitudes(space, value):
 
 def test_element_op_rejects_non_unitary(space):
     with pytest.raises(ValueError, match="not unitary"):
-        ElementOp(space, 0.5 * np.eye(space.dimension, dtype=complex))
+        ElementOp(space, blocks=0.5 * np.tile(np.eye(2, dtype=complex), (space.n_oam, 1, 1)))
 
 
 def test_element_op_rejects_nan_matrix(space):
     with pytest.raises(ValueError, match="not unitary"):
-        ElementOp(space, np.full((space.dimension, space.dimension), np.nan))
+        ElementOp(space, blocks=np.full((space.n_oam, 2, 2), np.nan))
 
 
-def _dense_deviation(matrix):
-    return np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max()
-
-
-def _entries(matrix):
-    """Row-major nonzero entries of a square matrix, as `_unitarity_deviation` takes them."""
-    rows, cols = np.nonzero(matrix)
-    return rows, cols, matrix[rows, cols], matrix.shape[0]
-
-
-def _oracle_product(l_max, oracle_id="cnot", crosstalk=0.3):
+def _oracle_blocks(l_max):
+    """The blocks of cnot's one mixing element, HWP1 with crosstalk: a
+    retarder on every l != 0 and the L <-> R swap, with zeros, at l = 0."""
     space = make_space(l_max)
-    op = compose(build_oracle(space, oracle_id, crosstalk=crosstalk).elements)
-    return space, np.array(op.matrix)
+    (hwp1,) = [op for op in build_oracle(space, "cnot", crosstalk=0.3).elements
+               if op.blocks is not None]
+    return space, np.array(hwp1.blocks)
 
 
-def test_unitarity_deviation_matches_the_dense_product():
-    matrices = [
-        _oracle_product(l_max, oracle_id, crosstalk)[1]
-        for l_max in (4, 6, 12, 64)
-        for oracle_id in ORACLE_IDS
-        for crosstalk in (0.0, 0.3, 0.9)
-    ]
-    rng = random.Random(4)
-    wanted = len(matrices) + 150
-    while len(matrices) < wanted:
-        compiled = compile_bench(random_bench(rng))
-        if compiled.elements:
-            matrices.append(np.array(compose(compiled.elements).matrix))
-    for matrix in matrices:
-        assert abs(_unitarity_deviation(*_entries(matrix)) - _dense_deviation(matrix)) <= 1e-15
-
-
-def _plant(matrix, fault):
+def _plant(blocks, fault, l_max):
     if fault == "existing entry +1e-11":
-        row, col = np.argwhere(matrix != 0)[len(matrix) // 2]
-        matrix[row, col] += 1e-11
+        blocks[1, 0, 0] += 1e-11
     elif fault == "new entry +1e-11":
-        row, col = np.argwhere(matrix == 0)[len(matrix) // 2]
-        matrix[row, col] += 1e-11
+        blocks[l_max, 0, 0] += 1e-11
     elif fault == "zeroed column":
-        matrix[:, 7] = 0.0
+        blocks[3, :, 1] = 0.0
     elif fault == "NaN entry":
-        matrix[2, 2] = np.nan
+        blocks[2, 1, 1] = np.nan
     elif fault == "NaN in a one-entry row":
-        row = np.flatnonzero(np.count_nonzero(matrix, axis=1) == 1)[0]
-        matrix[row, np.flatnonzero(matrix[row])[0]] = np.nan
-    return matrix
+        blocks[l_max, 0, 1] = np.nan
+    return blocks
 
 
 @pytest.mark.parametrize("l_max", [6, 64])
@@ -314,44 +283,18 @@ def _plant(matrix, fault):
     ],
 )
 def test_element_op_rejects_faults_planted_in_an_oracle_product(l_max, fault):
-    space, matrix = _oracle_product(l_max)
-    ElementOp(space, matrix)
+    # the product is never multiplied out: each fault goes into the blocks of
+    # the element that mixes, where the constructor checks it
+    space, blocks = _oracle_blocks(l_max)
+    ElementOp(space, blocks=blocks)
     with pytest.raises(ValueError, match="not unitary"):
-        ElementOp(space, _plant(matrix, fault))
+        ElementOp(space, blocks=_plant(blocks, fault, l_max))
 
 
 def test_element_op_accepts_an_oracle_product_perturbed_within_tolerance():
-    space, matrix = _oracle_product(64)
-    matrix[1, 1] += 3e-13j
-    ElementOp(space, matrix)
-
-
-def test_dense_matrix_takes_the_dense_product(space):
-    rng = np.random.default_rng(5)
-    dim = space.dimension
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    # every row is full: dim^3 nonzero pairs exceed dim^2, so the dense product
-    # is used, and its deviation is that formula's to the bit
-    assert _unitarity_deviation(*_entries(q)) == _dense_deviation(q)
-    ElementOp(space, q)
-    q[4, 9] += 1e-9
-    with pytest.raises(ValueError, match="not unitary"):
-        ElementOp(space, q)
-
-
-def test_unitarity_deviation_of_a_sparse_product_allocates_no_dense_matrix():
-    space, matrix = _oracle_product(200)
-    dim = space.dimension
-    entries = _entries(matrix)
-    tracemalloc.start()
-    try:
-        deviation = _unitarity_deviation(*entries)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert deviation <= 1e-12
-    # O(pairs); one complex dim x dim temporary alone would take 16 * dim^2
-    assert peak < 2 * dim * dim
+    space, blocks = _oracle_blocks(64)
+    blocks[1, 1, 1] += 3e-13j
+    ElementOp(space, blocks=blocks)
 
 
 @pytest.mark.parametrize("value", [0.5, np.nan])
@@ -401,12 +344,13 @@ def test_element_op_copies_the_callers_source(space):
     assert np.array_equal(op.source, np.arange(space.dimension)[::-1])
 
 
-def test_element_op_needs_exactly_one_form(space):
-    eye = np.eye(space.dimension, dtype=complex)
-    with pytest.raises(ValueError):
-        ElementOp(space)
-    with pytest.raises(ValueError):
-        ElementOp(space, eye, source=np.arange(space.dimension))
+def test_element_op_without_source_takes_the_identity_gather(space):
+    op = ElementOp(space, label="id")
+    assert np.array_equal(op.source, np.arange(space.dimension)) and op.blocks is None
+    assert np.array_equal(op.matrix, np.eye(space.dimension))
+    # there is no dense form: a matrix is not an argument
+    with pytest.raises(TypeError):
+        ElementOp(space, np.eye(space.dimension, dtype=complex))
 
 
 def test_structured_op_matches_its_dense_view(space):
@@ -425,24 +369,22 @@ def test_structured_op_matches_its_dense_view(space):
 
 @pytest.mark.parametrize("factor", [0.0, -0.1, 1.5, float("nan"), float("inf")])
 def test_element_op_rejects_survival_factor_outside_unit_interval(space, factor):
-    eye = np.eye(space.dimension, dtype=complex)
     with pytest.raises(ValueError, match="survival_factor"):
-        ElementOp(space, eye, survival_factor=factor)
+        ElementOp(space, survival_factor=factor)
     with pytest.raises(ValueError, match="survival_factor"):
         ElementOp(space, source=np.arange(space.dimension), survival_factor=factor)
 
 
 def test_element_op_kind_follows_survival_factor(space):
-    eye = np.eye(space.dimension, dtype=complex)
-    lossy = ElementOp(space, eye, survival_factor=0.97)
-    unitary = ElementOp(space, eye, survival_factor=1.0)
+    lossy = ElementOp(space, survival_factor=0.97)
+    unitary = ElementOp(space, survival_factor=1.0)
     assert (lossy.kind, lossy.is_lossy) == ("lossy", True)
     assert (unitary.kind, unitary.is_lossy) == ("unitary", False)
     assert qplate(space, QPlateSpec(1, 0.97)).is_lossy
     assert not qplate(space, QPlateSpec(1, 1.0)).is_lossy
     # a product is lossy iff some factor is below 1
     for factors in ([1.0, 1.0], [1.0, 0.97], [0.97, 1.0], [0.97, 0.97]):
-        composed = compose([ElementOp(space, eye, survival_factor=f) for f in factors])
+        composed = compose([ElementOp(space, survival_factor=f) for f in factors])
         assert composed.is_lossy == any(f < 1.0 for f in factors)
         assert composed.kind == ("lossy" if composed.is_lossy else "unitary")
 
