@@ -45,8 +45,6 @@ APERTURE_L0 = "l0_only"
 def _require_numbers(spec, *fields: str) -> None:
     for name in fields:
         value = getattr(spec, name)
-        if type(value) is float:  # the usual case, without the slower ABC check below
-            continue
         if isinstance(value, bool):  # it would pass every range check as 0 or 1
             raise TypeError(f"{name} must be a number, not a bool")
         if not isinstance(value, numbers.Real):

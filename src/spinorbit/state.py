@@ -312,14 +312,16 @@ def _blocks_deviation(blocks: list) -> float:
     return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
-def _act(op: ElementOp, vector: np.ndarray) -> np.ndarray:
+def _act(op: ElementOp, vector: np.ndarray, guarded: bool = False) -> np.ndarray:
     """U @ vector, for one vector or each column of a (dim, m) array.
 
     Each factor in turn gathers, then mixes each (L, R) pair with its 2x2
     block: the mode axis reshaped to (2, n_oam) is (pol, l + l_max), the
-    README order.  No guard is checked.
+    README order.  Each factor's guard is checked first only if `guarded`.
     """
     for factor in op.factors:
+        if guarded:
+            _check_guard(factor, vector)
         vector = vector[factor.source]
         if factor.blocks is not None:
             pairs = vector.reshape((2, op.space.n_oam) + vector.shape[1:])
@@ -349,10 +351,7 @@ def apply(op: ElementOp, state: PhotonState) -> PhotonState:
             f"dimension mismatch: operator is {op.space.dimension}, state is "
             f"{state.space.dimension}"
         )
-    amps = state.amplitudes
-    for factor in op.factors:
-        _check_guard(factor, amps)
-        amps = _act(factor, amps)
+    amps = _act(op, state.amplitudes, guarded=True)
     return PhotonState(state.space, amps, survival=state.survival * op.survival_factor)
 
 

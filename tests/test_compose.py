@@ -30,7 +30,7 @@ from spinorbit import (
     truth_table,
 )
 from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
-from spinorbit.state import GUARD_TOL, LOSSY, POLARIZATIONS, UNITARY, PhotonState
+from spinorbit.state import GUARD_TOL, LOSSY, UNITARY, PhotonState
 
 # --- dense reference -------------------------------------------------------------
 
@@ -128,40 +128,6 @@ def test_nested_composites_flatten_into_their_factors():
 
 
 # --- against apply_chain -----------------------------------------------------------
-
-
-def _inputs(space, rng):
-    """Basis kets at random modes, edges included, and a random superposition."""
-    for _ in range(6):
-        pol = rng.choice(POLARIZATIONS)
-        yield basis_state(space, pol, rng.choice((-1, 1)) * rng.randint(0, space.l_max))
-    amps = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(space.dimension)])
-    yield PhotonState(space, amps / np.linalg.norm(amps))
-
-
-def test_apply_of_a_composite_equals_apply_chain_on_random_benches():
-    rng = random.Random(51)
-    checked = raised = 0
-    while checked < 150:
-        compiled = compile_bench(random_bench(rng))
-        if not compiled.elements:
-            continue
-        composed = compose(compiled.elements)
-        space = compiled.space
-        for state in [compiled.preparation.initial_state(space), *_inputs(space, rng)]:
-            expected = outcome(lambda: apply_chain(compiled.elements, state))
-            got = outcome(lambda: apply(composed, state))
-            if expected[0] is TruncationError:
-                # the same factor raises, under its own label
-                assert got == expected
-                assert got[1].partition(" cannot act")[0] in {op.label for op in compiled.elements}
-                raised += 1
-            else:
-                assert np.abs(got[0] - expected[0]).max() <= 1e-12
-                assert abs(got[1] - expected[1]) <= 1e-12
-        checked += 1
-    # both outcomes were exercised
-    assert raised > 50
 
 
 @pytest.mark.parametrize("l_max", [4, 6])

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from benchgen import random_bench
-from spinorbit import apply, apply_chain, compile_bench, compose
+from spinorbit import TruncationError, apply, apply_chain, basis_state, compile_bench, compose
 from spinorbit.dsl import QPlateStmt
+from spinorbit.state import POLARIZATIONS
 
 
 def _benches(count=150, seed=20261018):
@@ -65,15 +66,37 @@ def test_q_plates_move_total_angular_momentum_by_2_q_minus_1_spin():
     assert plates.get(1, 0) > 10 and plates.get(-1, 0) > 10
 
 
+def _edge_kets(space, rng):
+    """Basis kets at both truncation edges and at one random mode, per polarization."""
+    for pol in POLARIZATIONS:
+        for l in (-space.l_max, space.l_max, rng.randint(-space.l_max, space.l_max)):
+            yield basis_state(space, pol, l)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_composed_chain_acts_like_the_chain(seed):
-    checked = 0
+    rng = random.Random(seed)
+    checked = raised = 0
     for bench, compiled, state in _benches(seed=seed):
         if not compiled.elements:
             continue
-        step_by_step = apply_chain(compiled.elements, state)
-        at_once = apply(compose(compiled.elements), state)
-        assert np.abs(at_once.amplitudes - step_by_step.amplitudes).max() <= 1e-12
-        assert abs(at_once.survival - step_by_step.survival) <= 1e-12
+        composed = compose(compiled.elements)
+        for ket in [state, *_edge_kets(compiled.space, rng)]:
+            try:
+                step_by_step = apply_chain(compiled.elements, ket)
+            except TruncationError as exc:
+                # the composite raises the same text, under the factor's label
+                with pytest.raises(TruncationError) as at_once:
+                    apply(composed, ket)
+                assert str(at_once.value) == str(exc)
+                assert str(exc).partition(" cannot act")[0] in {
+                    op.label for op in compiled.elements
+                }
+                raised += 1
+                continue
+            at_once = apply(composed, ket)
+            assert np.abs(at_once.amplitudes - step_by_step.amplitudes).max() <= 1e-12
+            assert abs(at_once.survival - step_by_step.survival) <= 1e-12
         checked += 1
-    assert checked >= 100
+    # both outcomes were exercised
+    assert checked >= 100 and raised > 50
