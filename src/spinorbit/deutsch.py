@@ -30,6 +30,8 @@ from .state import (
     ModeSpace,
     V_CIRCULAR,
     _INV_SQRT2,
+    _is_int,
+    _require_numbers,
     apply_chain,
     fidelity_up_to_phase,
     make_space,
@@ -129,6 +131,7 @@ def classify(
 ) -> str:
     """Verdict from the two detector probabilities (conditioned on survival)."""
     _check_threshold(threshold)
+    _require_numbers(p_balanced_port=p_balanced_port, p_constant_port=p_constant_port)
     for name, p in (("p_balanced_port", p_balanced_port), ("p_constant_port", p_constant_port)):
         # written so that NaN fails too; a sum of squares of a unit vector's
         # parts can pass 1 by a few ulp, and no more
@@ -201,10 +204,6 @@ class RunReport:
         }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.ndarray:
     """Multinomial tallies over outcome categories, reproducible per seed.
 
@@ -214,11 +213,12 @@ def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.n
         raise ValueError(f"shots must be an integer in [0, {MAX_SHOTS}], got {shots!r}")
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_numbers(**{f"probabilities[{i}]": p for i, p in enumerate(probabilities)})
     probs = np.asarray(probabilities, dtype=float)
     if not np.isfinite(probs).all():
         raise ValueError(f"probabilities must be finite, got {probs.tolist()!r}")
     if (probs < -1e-12).any():
-        raise ValueError("negative outcome probability")
+        raise ValueError(f"probabilities must be non-negative, got {probs.tolist()!r}")
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not 0.0 < total < np.inf:

@@ -54,6 +54,7 @@ from .state import (
     ElementOp,
     ModeSpace,
     PhotonState,
+    _is_int,
     make_space,
 )
 
@@ -333,10 +334,13 @@ class Preparation:
     oams: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "oams", tuple(self.oams))
         if self.axis not in ("H", "V"):
             raise ValueError(f"axis must be 'H' or 'V', got {self.axis!r}")
         if not self.oams:
             raise ValueError("hologram needs at least one OAM value")
+        if not all(map(_is_int, self.oams)):
+            raise TypeError(f"oams must be integers, got {self.oams!r}")
         if len(set(self.oams)) != len(self.oams):
             raise ValueError(f"hologram lists duplicate OAM values: {self.oams}")
 

@@ -29,26 +29,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import TruncationError
-from .state import ElementOp, ModeSpace
+from .state import ElementOp, ModeSpace, _require_numbers
 
 APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
-
-
-def _require_numbers(spec, *fields: str) -> None:
-    for name in fields:
-        value = getattr(spec, name)
-        if isinstance(value, bool):  # it would pass every range check as 0 or 1
-            raise TypeError(f"{name} must be a number, not a bool")
-        if not isinstance(value, numbers.Real):
-            raise TypeError(f"{name} must be a number, got {type(value).__name__}")
 
 
 def _as_fraction(q) -> Fraction:
@@ -73,7 +63,7 @@ class QPlateSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _as_fraction(self.q))
-        _require_numbers(self, "eta")
+        _require_numbers(eta=self.eta)
         # in lowest terms, 2q is an integer iff q's denominator is 1 or 2
         if self.q.denominator > 2:
             raise ValueError(
@@ -98,7 +88,7 @@ class WaveplateSpec:
     crosstalk: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_numbers(self, "theta", "crosstalk")
+        _require_numbers(theta=self.theta, crosstalk=self.crosstalk)
         # the circular-basis block holds e^{2i theta}, so 2*theta must be finite
         if not math.isfinite(2.0 * self.theta):
             raise ValueError(f"theta must be finite, and so must 2*theta; got {self.theta!r}")
@@ -118,6 +108,7 @@ class DovePrismSpec:
     angle: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_numbers(angle=self.angle)
         if self.angle != 0.0:
             raise ValueError(
                 f"only a Dove prism at angle 0 is supported, got {self.angle!r}"

@@ -31,6 +31,7 @@ from .state import (
     ModeSpace,
     PhotonState,
     _act,
+    _is_int,
     apply,
     basis_state,
     compose,
@@ -68,7 +69,7 @@ DECODE_TOL = 1e-9
 
 def encode(space: ModeSpace, bits: tuple[int, int]) -> PhotonState:
     """Physical ket for logical |x, y>."""
-    if bits not in LOGICAL_STATES:
+    if bits not in LOGICAL_STATES or not all(map(_is_int, bits)):
         raise EncodingError(f"logical bits must be in {{0,1}}^2, got {bits!r}")
     pol, l = LOGICAL_STATES[bits]
     return basis_state(space, pol, l)

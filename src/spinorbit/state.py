@@ -21,14 +21,15 @@ lost entirely, so a lossy element keeps a unitary matrix and contributes a
 survival factor < 1 instead of attenuating individual modes.
 
 Every operator has one form, a gather of the mode vector followed by a 2x2
-polarization block per OAM index (`ElementOp`).  A chain of them is applied
-element by element (`apply_chain`, or `compose` and `apply`) and never
-multiplied out.
+polarization block per OAM index (`ElementOp`).  A chain of them is never
+multiplied out: `compose` collects its factors and `apply` runs them in turn
+in one pass (`apply_chain`), building one state.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -70,6 +71,18 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_numbers(**values) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool):  # it would pass every range check as 0 or 1
+            raise TypeError(f"{name} must be a number, not a bool")
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class ModeSpace:
     """Truncated polarization (x) OAM space with the documented basis ordering;
@@ -103,6 +116,8 @@ class ModeSpace:
     def index(self, pol: str, l: int) -> int:
         if pol not in POLARIZATIONS:
             raise ValueError(f"polarization must be 'L' or 'R', got {pol!r}")
+        if not _is_int(l):
+            raise TypeError(f"l must be an integer, got {l!r}")
         if not self.contains(l):
             raise TruncationError(
                 f"OAM index l={l:+d} outside truncation |l| <= {self.l_max}"
@@ -146,6 +161,7 @@ class PhotonState:
         # written so that a NaN norm fails too
         if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"amplitudes are not normalized (norm={norm!r})")
+        _require_numbers(survival=self.survival)
         if not 0.0 <= self.survival <= 1.0:
             raise ValueError(f"survival must lie in [0, 1], got {self.survival!r}")
         object.__setattr__(self, "amplitudes", _frozen(amps / norm))
@@ -254,6 +270,7 @@ class ElementOp:
         return op
 
     def _setup(self, space, survival_factor, label, factors=None) -> None:
+        _require_numbers(survival_factor=survival_factor)
         # written so that a NaN factor fails too
         if not 0.0 < survival_factor <= 1.0:
             raise ValueError(f"survival_factor must lie in (0, 1], got {survival_factor!r}")
@@ -344,8 +361,8 @@ def _check_guard(op: ElementOp, amplitudes: np.ndarray) -> None:
 
 
 def apply(op: ElementOp, state: PhotonState) -> PhotonState:
-    """Apply an element, factor by factor, each checking its guard first: new
-    amplitudes, renormalized by `PhotonState`; survival multiplied."""
+    """Apply an element or a composite, factor by factor, each checking its guard
+    first: one new state, renormalized once by `PhotonState`; survival multiplied."""
     if op.space.dimension != state.space.dimension:
         raise ValueError(
             f"dimension mismatch: operator is {op.space.dimension}, state is "
@@ -356,9 +373,9 @@ def apply(op: ElementOp, state: PhotonState) -> PhotonState:
 
 
 def apply_chain(ops: Iterable[ElementOp], state: PhotonState) -> PhotonState:
-    for op in ops:
-        state = apply(op, state)
-    return state
+    """`apply(compose(ops), state)`: one pass, one new state; `state` itself if no ops."""
+    ops = tuple(ops)
+    return apply(compose(ops), state) if ops else state
 
 
 def fidelity_up_to_phase(a: PhotonState, b: PhotonState) -> float:
@@ -373,10 +390,10 @@ def compose(ops: Sequence[ElementOp]) -> ElementOp:
 
     Nothing is multiplied out: the result holds the elements' factors, nested
     composites flattened, and `apply` runs them in turn, checking each
-    factor's guard, so it raises where `apply_chain` would, under the
-    factor's label.  The survival factor is the product of the elements'
-    factors, so it is lossy iff some input is.  There is no unitarity check:
-    each factor was checked when it was built.
+    factor's guard before it acts and raising under that factor's label.
+    The survival factor is the product of the elements' factors, so it is
+    lossy iff some input is.  There is no unitarity check: each factor was
+    checked when it was built.
     """
     if not ops:
         raise ValueError("cannot compose an empty element list")

@@ -1,11 +1,13 @@
-"""`compose` against the dense product it no longer forms, and against `apply_chain`.
+"""`compose` against the dense product it no longer forms, and against applying
+the elements one at a time.
 
 `dense_compose` below is the dense loop `compose` once ran: a dim x dim
 running matrix, each element applied to its columns by the structured
 gather and per-l `einsum`, and the guard mask summed over the blocked rows.
 `compose` now multiplies nothing out: it holds its elements' factors, and
-`apply` runs them in turn, so it must act as `apply_chain` does, errors
-included, while its `matrix` view keeps the dense loop's bytes.
+`apply` runs them in turn, so it must act as `apply` of each element in
+turn does, errors included, while its `matrix` view keeps the dense loop's
+bytes.  `apply_chain` is `apply` of the composite.
 """
 
 import math
@@ -27,6 +29,7 @@ from spinorbit import (
     compose,
     encoded_restriction,
     make_space,
+    prepare_input,
     truth_table,
 )
 from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
@@ -127,7 +130,14 @@ def test_nested_composites_flatten_into_their_factors():
     assert np.abs(twice.matrix - compose(cnot).matrix @ compose(cnot).matrix).max() <= 1e-15
 
 
-# --- against apply_chain -----------------------------------------------------------
+# --- against the element-by-element loop -------------------------------------------
+
+
+def step_by_step(chain, state):
+    """The reference loop: `apply` of each element, renormalizing after each."""
+    for op in chain:
+        state = apply(op, state)
+    return state
 
 
 @pytest.mark.parametrize("l_max", [4, 6])
@@ -146,10 +156,10 @@ def test_leak_into_a_guarded_mode_gives_the_dense_mask(l_max):
     # later stages excluded inputs that the first plate alone accepts
     assert np.count_nonzero(~mask) > np.count_nonzero(~first.input_mask)
     # a basis ket raises exactly where the dense loop's mask excludes it, and
-    # with apply_chain's message, which names the factor, not the composite
+    # with the reference loop's message, which names the factor, not the composite
     for index in range(space.dimension):
         ket = basis_state(space, *space.basis_label(index))
-        expected = outcome(lambda: apply_chain(chain, ket))
+        expected = outcome(lambda: step_by_step(chain, ket))
         got = outcome(lambda: apply(composed, ket))
         assert (got[0] is TruncationError) == (not mask[index])
         if got[0] is TruncationError:
@@ -157,6 +167,28 @@ def test_leak_into_a_guarded_mode_gives_the_dense_mask(l_max):
             assert " -> " not in got[1]
         else:
             assert got[0].tobytes() == expected[0].tobytes()
+
+
+def test_apply_chain_is_one_pass_that_builds_one_state(monkeypatch):
+    space = make_space(6)
+    chain = build_oracle(space, "zcnot", eta=0.97, crosstalk=0.3).elements
+    assert len(chain) == 7
+    probe = prepare_input(space)
+    built = []
+    post_init = PhotonState.__post_init__
+    monkeypatch.setattr(
+        PhotonState, "__post_init__", lambda state: (built.append(state), post_init(state))
+    )
+    out = apply_chain(iter(chain), probe)
+    assert len(built) == 1
+    expected = step_by_step(chain, probe)
+    assert np.abs(out.amplitudes - expected.amplitudes).max() <= 1e-12
+    assert abs(out.survival - expected.survival) <= 1e-12
+    assert apply_chain((), probe) is probe
+    assert apply_chain(iter(()), probe) is probe
+    # elements of two spaces are one composite's error
+    with pytest.raises(ValueError, match="composed elements must share one mode space"):
+        apply_chain([chain[0], hwp(make_space(4), WaveplateSpec(0.0))], probe)
 
 
 def test_compose_at_the_largest_truncation_holds_no_dense_matrix():

@@ -242,6 +242,15 @@ def test_classify_rejects_a_value_that_is_no_probability(bad):
         classify(0.2, bad)
 
 
+@pytest.mark.parametrize("bad", [True, "0.5"])
+def test_classify_rejects_a_bool_or_a_string(bad):
+    # a bool would pass the range check as 0 or 1
+    with pytest.raises(TypeError, match="^p_balanced_port must be a number"):
+        classify(bad, 0.2)
+    with pytest.raises(TypeError, match="^p_constant_port must be a number"):
+        classify(0.2, bad)
+
+
 def test_classify_allows_the_roundoff_of_a_unit_vector():
     # measure_pbs sums squares of a unit vector's parts, which can pass 1 by an ulp
     assert classify(1.0 + 2.2e-16, 0.0) == BALANCED
@@ -347,8 +356,12 @@ def test_sample_counts_validation():
         sample_counts([0.5, 0.5], -1, seed=0)
     with pytest.raises(TypeError):
         sample_counts([0.5, 0.5], 10, seed=0, batches=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^probabilities must be non-negative"):
         sample_counts([-0.1, 1.1], 10, seed=0)
+    # a bool would pass as 0 or 1
+    for probabilities in (["a"], [True, False]):
+        with pytest.raises(TypeError, match=r"^probabilities\[0\] must be a number"):
+            sample_counts(probabilities, 10, seed=0)
 
 
 @pytest.mark.parametrize(

@@ -282,6 +282,16 @@ def test_preparation_rejects_invalid_fields(axis, oams, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("oams", [(2.5,), (True,), (2, 2.0)])
+def test_preparation_rejects_a_non_integer_oam(oams):
+    with pytest.raises(TypeError, match="^oams must be integers"):
+        Preparation("V", oams)
+
+
+def test_preparation_stores_its_oams_as_a_tuple():
+    assert Preparation("V", [2, -2]).oams == (2, -2)
+
+
 # --- the element key tables -------------------------------------------------------
 
 #: each statement class's spec class, and one line that sets every key off its default

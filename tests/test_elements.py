@@ -237,6 +237,7 @@ def test_waveplate_spec_validation():
         (lambda: WaveplateSpec(True), "theta"),
         (lambda: WaveplateSpec(0.0, APERTURE_L0, True), "crosstalk"),
         (lambda: WaveplateSpec(0.0, APERTURE_FULL, crosstalk=False), "crosstalk"),
+        (lambda: DovePrismSpec(False), "angle"),
     ],
 )
 def test_specs_reject_a_bool_number(make, name):

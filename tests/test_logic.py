@@ -71,8 +71,10 @@ def test_decode_rejects_superposition(space):
 
 
 def test_encode_rejects_bad_bits(space):
-    with pytest.raises(EncodingError):
-        encode(space, (2, 0))
+    # True and 1.0 equal 1, and hash like it, but are no bits
+    for bits in ((2, 0), (True, 0), (0, 1.0)):
+        with pytest.raises(EncodingError, match=r"^logical bits must be in \{0,1\}\^2"):
+            encode(space, bits)
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,20 @@ def test_basis_state_out_of_range(space):
         basis_state(space, LEFT, space.l_max + 1)
 
 
+@pytest.mark.parametrize("l", [2.0, 2.5, True])
+def test_basis_state_rejects_a_non_integer_l(space, l):
+    with pytest.raises(TypeError, match="^l must be an integer"):
+        basis_state(space, LEFT, l)
+
+
+def test_survival_rejects_a_bool(space):
+    amplitudes = basis_state(space, LEFT, 0).amplitudes
+    with pytest.raises(TypeError, match="^survival must be a number, not a bool$"):
+        PhotonState(space, amplitudes, survival=True)
+    with pytest.raises(TypeError, match="^survival_factor must be a number, not a bool$"):
+        ElementOp(space, survival_factor=True)
+
+
 def test_polarization_convention_identities():
     # (|L> - |R>)/sqrt(2) = i|V> and (|L> + |R>)/sqrt(2) = |H>, exactly
     l_ket = np.array([1.0, 0.0], dtype=complex)
