@@ -91,12 +91,6 @@ def _build_parser() -> _Parser:
 # --- deutsch ----------------------------------------------------------------
 
 
-def _resolve_eta(args) -> float:
-    if args.eta is not None:
-        return args.eta
-    return 0.97 if args.realistic else 1.0
-
-
 def _verify_report(report: deutsch.RunReport) -> list[str]:
     """Consistency assertions for one report; returns failure descriptions."""
     from .reference import classify_abstract
@@ -142,23 +136,7 @@ def _report_text(report: deutsch.RunReport) -> list[str]:
 
 
 def cmd_deutsch(args) -> int:
-    eta = _resolve_eta(args)
-    if not 0.0 < eta <= 1.0:
-        print(f"spinorbit deutsch: --eta must lie in (0, 1], got {eta}", file=sys.stderr)
-        return EXIT_USAGE
-    if not 0.0 <= args.crosstalk <= 1.0:
-        print(
-            f"spinorbit deutsch: --crosstalk must lie in [0, 1], got {args.crosstalk}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.shots is not None and not 0 <= args.shots <= deutsch.MAX_SHOTS:
-        bound = ">= 0" if args.shots < 0 else f"<= {deutsch.MAX_SHOTS}"
-        print(f"spinorbit deutsch: --shots must be {bound}, got {args.shots}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed < 0:
-        print(f"spinorbit deutsch: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
+    eta = args.eta if args.eta is not None else 0.97 if args.realistic else 1.0
     oracle_ids = ORACLE_IDS if args.oracle == "all" else (args.oracle,)
     reports = [
         deutsch.run(
@@ -251,18 +229,14 @@ def _read_bench_file(args) -> tuple[Path, str]:
         ) from None
 
 
-class _BadInputSpec(ValueError):
-    pass
-
-
 def _parse_input_ket(spec: str, space) -> PhotonState:
     parts = spec.split(",")
     if len(parts) != 2 or parts[0].strip() not in ("L", "R"):
-        raise _BadInputSpec(f'--input must look like "R,+2", got {spec!r}')
+        raise ValueError(f'--input must look like "R,+2", got {spec!r}')
     try:
         l = int(parts[1].strip())
     except ValueError:
-        raise _BadInputSpec(f"--input OAM index is not an integer: {spec!r}") from None
+        raise ValueError(f"--input OAM index is not an integer: {spec!r}") from None
     return basis_state(space, parts[0].strip(), l)
 
 
@@ -397,12 +371,12 @@ def main(argv: list[str] | None = None) -> int:
         for error in exc.errors:
             print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    except (_UnreadableBench, _BadInputSpec) as exc:
-        print(f"spinorbit bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SpinOrbitError as exc:
         print(f"spinorbit: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except (_UnreadableBench, ValueError) as exc:
+        print(f"spinorbit {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dsl import Preparation
-from .logic import BALANCED, CONSTANT, ORACLE_IDS, build_oracle, oracle_class
+from .elements import _check_eta_and_crosstalk
+from .logic import BALANCED, CONSTANT, _oracle_function, build_oracle, oracle_class
 from .state import (
     DEFAULT_L_MAX,
     H_CIRCULAR,
@@ -64,18 +65,16 @@ def expected_output(space: ModeSpace, oracle_id: str) -> PhotonState:
     identity: +input;  not: -input;
     cnot: +(|L> + |R>)(|+2> - |-2>)/2;  zcnot: the same with a - sign.
     """
-    if oracle_id not in ORACLE_IDS:
-        raise ValueError(f"unknown oracle {oracle_id!r}; expected one of {ORACLE_IDS}")
-    if oracle_id in ("identity", "not"):
+    if oracle_class(oracle_id) == CONSTANT:
         base = prepare_input(space).amplitudes.copy()
-        sign = 1.0 if oracle_id == "identity" else -1.0
     else:
         base = np.zeros(space.dimension, dtype=complex)
         base[space.index(LEFT, +2)] = 0.5
         base[space.index(RIGHT, +2)] = 0.5
         base[space.index(LEFT, -2)] = -0.5
         base[space.index(RIGHT, -2)] = -0.5
-        sign = 1.0 if oracle_id == "cnot" else -1.0
+    # Deutsch's output carries the global phase (-1)^f(0)
+    sign = -1.0 if _oracle_function(oracle_id)[0] else 1.0
     return PhotonState(space, sign * base)
 
 
@@ -114,13 +113,13 @@ def measure_oam_superposition(state: PhotonState) -> OamSorterProbs:
     for pol in (LEFT, RIGHT):
         a2 = state.amplitudes[state.space.index(pol, +2)]
         am2 = state.amplitudes[state.space.index(pol, -2)]
-        p_plus += abs((a2 + am2) * _INV_SQRT2) ** 2
-        p_minus += abs((a2 - am2) * _INV_SQRT2) ** 2
-    residual = max(0.0, 1.0 - p_plus - p_minus)
-    return OamSorterProbs(float(p_plus), float(p_minus), residual)
+        p_plus += float(abs((a2 + am2) * _INV_SQRT2) ** 2)
+        p_minus += float(abs((a2 - am2) * _INV_SQRT2) ** 2)
+    return OamSorterProbs(p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus))
 
 
 def _check_threshold(threshold: float) -> None:
+    _require_numbers(threshold=threshold)
     # below 0.5 both ports could pass; at 1 no port ever can
     if not 0.5 <= threshold < 1.0:
         raise ValueError(f"threshold must lie in [0.5, 1), got {threshold!r}")
@@ -204,15 +203,21 @@ class RunReport:
         }
 
 
+def _shots_and_seed(shots: int, seed: int) -> tuple[int, int]:
+    """`shots` and `seed` as ints: the rule `sample_counts` and `run` share."""
+    if not (_is_int(shots) and 0 <= shots <= MAX_SHOTS):
+        raise ValueError(f"shots must be an integer in [0, {MAX_SHOTS}], got {shots!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(shots), int(seed)
+
+
 def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.ndarray:
     """Multinomial tallies over outcome categories, reproducible per seed.
 
     The draw uses SeedSequence(seed, spawn_key=(0,)), the first stream SeedSequence(seed) spawns.
     """
-    if not (_is_int(shots) and 0 <= shots <= MAX_SHOTS):
-        raise ValueError(f"shots must be an integer in [0, {MAX_SHOTS}], got {shots!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    shots, seed = _shots_and_seed(shots, seed)
     _require_numbers(**{f"probabilities[{i}]": p for i, p in enumerate(probabilities)})
     probs = np.asarray(probabilities, dtype=float)
     if not np.isfinite(probs).all():
@@ -239,11 +244,13 @@ def run(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> RunReport:
     """Prepare, run one oracle bench, measure, classify, optionally sample clicks."""
-    if oracle_id not in ORACLE_IDS:
-        raise ValueError(f"unknown oracle {oracle_id!r}; expected one of {ORACLE_IDS}")
+    # every argument is checked before make_space checks l_max; seed even without shots
+    _oracle_function(oracle_id)
     if measurement not in MEASUREMENTS:
         raise ValueError(f"measurement must be one of {MEASUREMENTS}")
     _check_threshold(threshold)
+    n_shots, seed = _shots_and_seed(0 if shots is None else shots, seed)
+    _check_eta_and_crosstalk(eta, crosstalk)
     space = make_space(l_max)
     bench = build_oracle(space, oracle_id, eta=eta, crosstalk=crosstalk)
     probe = prepare_input(space)
@@ -266,8 +273,8 @@ def run(
     if shots is not None:
         s = output.survival
         probabilities = [p * s for p in outcomes] + [1.0 - s]
-        n_d1, n_d2, *n_residual, n_lost = sample_counts(probabilities, shots, seed).tolist()
-        tally = ShotTally(shots, seed, n_d1, n_d2, n_lost, *n_residual)
+        n_d1, n_d2, *n_residual, n_lost = sample_counts(probabilities, n_shots, seed).tolist()
+        tally = ShotTally(n_shots, seed, n_d1, n_d2, n_lost, *n_residual)
 
     return RunReport(
         oracle_id=oracle_id,
@@ -280,6 +287,6 @@ def run(
         survival=output.survival,
         verdict=verdict,
         output_fidelity=fidelity,
-        threshold=threshold,
+        threshold=float(threshold),
         shots=tally,
     )

@@ -55,6 +55,7 @@ from .state import (
     ModeSpace,
     PhotonState,
     _is_int,
+    _require_int,
     make_space,
 )
 
@@ -410,11 +411,12 @@ def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledB
         bench.l_max if bench.l_max is not None else DEFAULT_L_MAX
     )
     try:
+        l_max = _require_int("l_max", l_max)
         prep = Preparation(
             axis=bench.polarizer if bench.polarizer is not None else "V",
             oams=bench.hologram if bench.hologram is not None else (0,),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CompileError(str(exc)) from exc
     for l in prep.oams:
         if abs(l) > l_max:
@@ -426,7 +428,7 @@ def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledB
     for index, stmt in enumerate(bench.elements, start=1):
         try:
             specs.append(_element_spec(stmt))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CompileError(f"{_element_name(index, stmt)}: {exc}") from exc
     # an l_max above the cap fails here; one below the floor is checked on the
     # smallest space, where images beyond l_max leave too, then fails on the floor

@@ -35,23 +35,30 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .state import ElementOp, ModeSpace, _require_numbers
+from .state import ElementOp, ModeSpace, _is_int, _require_numbers
 
 APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
 
 
 def _as_fraction(q) -> Fraction:
-    if isinstance(q, bool):
-        raise TypeError("q must be a number, not a bool")
     if isinstance(q, Fraction):
         return q
-    if isinstance(q, (int, float, str)):
-        try:
-            return Fraction(q)
-        except (ValueError, OverflowError, ZeroDivisionError):  # NaN, +-inf, "1/0", ...
-            raise ValueError(f"q must be a finite rational, got {q!r}") from None
-    raise TypeError(f"topological charge must be rational, got {type(q).__name__}")
+    if not isinstance(q, str):  # a number, numpy's included: an integer stays exact
+        _require_numbers(q=q)
+    try:
+        return Fraction(q if isinstance(q, str) else int(q) if _is_int(q) else float(q))
+    except (ValueError, OverflowError, ZeroDivisionError):  # NaN, +-inf, "1/0", ...
+        raise ValueError(f"q must be a finite rational, got {q!r}") from None
+
+
+def _check_eta_and_crosstalk(eta: float = 1.0, crosstalk: float = 0.0) -> None:
+    """The eta and crosstalk rules: the specs, `logic.build_oracle` and `deutsch.run` call them."""
+    _require_numbers(eta=eta, crosstalk=crosstalk)
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"conversion efficiency eta must lie in (0, 1], got {eta!r}")
+    if not 0.0 <= crosstalk <= 1.0:
+        raise ValueError(f"crosstalk must lie in [0, 1], got {crosstalk!r}")
 
 
 @dataclass(frozen=True)
@@ -63,15 +70,13 @@ class QPlateSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _as_fraction(self.q))
-        _require_numbers(eta=self.eta)
         # in lowest terms, 2q is an integer iff q's denominator is 1 or 2
         if self.q.denominator > 2:
             raise ValueError(
                 f"2q must be an integer so the OAM shift stays on the integer "
                 f"lattice; got q={self.q}"
             )
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"conversion efficiency eta must lie in (0, 1], got {self.eta!r}")
+        _check_eta_and_crosstalk(eta=self.eta)
 
     @property
     def oam_shift(self) -> int:
@@ -88,17 +93,16 @@ class WaveplateSpec:
     crosstalk: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_numbers(theta=self.theta, crosstalk=self.crosstalk)
+        _require_numbers(theta=self.theta)
         # the circular-basis block holds e^{2i theta}, so 2*theta must be finite
-        if not math.isfinite(2.0 * self.theta):
+        if not math.isfinite(2.0 * float(self.theta)):
             raise ValueError(f"theta must be finite, and so must 2*theta; got {self.theta!r}")
         if self.aperture not in (APERTURE_FULL, APERTURE_L0):
             raise ValueError(
                 f"aperture must be '{APERTURE_FULL}' or '{APERTURE_L0}', got "
                 f"{self.aperture!r}"
             )
-        if not 0.0 <= self.crosstalk <= 1.0:
-            raise ValueError(f"crosstalk must lie in [0, 1], got {self.crosstalk!r}")
+        _check_eta_and_crosstalk(crosstalk=self.crosstalk)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
-from .elements import APERTURE_L0, WaveplateSpec
+from .elements import APERTURE_L0, _check_eta_and_crosstalk
 from .errors import EncodingError, GateBrokenError
 from .state import (
     LEFT,
@@ -51,8 +51,15 @@ CONSTANT = "constant"
 BALANCED = "balanced"
 
 
+def _oracle_function(oracle_id: str) -> tuple[int, int]:
+    """(f(0), f(1)) of a known oracle id; the one check of an oracle id."""
+    if oracle_id not in ORACLE_IDS:
+        raise ValueError(f"unknown oracle {oracle_id!r}; expected one of {ORACLE_IDS}")
+    return ORACLE_FUNCTIONS[oracle_id]
+
+
 def oracle_class(oracle_id: str) -> str:
-    f0, f1 = ORACLE_FUNCTIONS[oracle_id]
+    f0, f1 = _oracle_function(oracle_id)
     return CONSTANT if f0 == f1 else BALANCED
 
 
@@ -69,7 +76,7 @@ DECODE_TOL = 1e-9
 
 def encode(space: ModeSpace, bits: tuple[int, int]) -> PhotonState:
     """Physical ket for logical |x, y>."""
-    if bits not in LOGICAL_STATES or not all(map(_is_int, bits)):
+    if not (isinstance(bits, tuple) and all(map(_is_int, bits)) and bits in LOGICAL_STATES):
         raise EncodingError(f"logical bits must be in {{0,1}}^2, got {bits!r}")
     pol, l = LOGICAL_STATES[bits]
     return basis_state(space, pol, l)
@@ -120,8 +127,7 @@ def oracle_recipe(
     oracle_id: str, eta: float = 1.0, crosstalk: float = 0.0
 ) -> tuple[tuple[str, dsl.ElementStmt], ...]:
     """(label, statement) pairs of an oracle's chain, in physical order."""
-    if oracle_id not in ORACLE_IDS:
-        raise ValueError(f"unknown oracle {oracle_id!r}; expected one of {ORACLE_IDS}")
+    _oracle_function(oracle_id)
     qp, hwp1 = dsl.QPlateStmt(_Q1, eta), dsl.HwpStmt(0.0, APERTURE_L0, crosstalk)
     stmts = {"QP1": qp, "QP2": qp, "L1": _LENS, "L2": _LENS, "HWP1": hwp1, "HWP2": _HWP,
              "HWP3": _HWP, "DP": _DOVE}
@@ -139,7 +145,7 @@ def build_oracle(
         chain.append(first._relabel(label) if first is not None else built.setdefault(
             id(stmt), dsl._build_element(space, label, *dsl._element_spec(stmt))))
     # only cnot and zcnot insert HWP1, the plate with crosstalk; all four check it
-    WaveplateSpec(0.0, APERTURE_L0, crosstalk)
+    _check_eta_and_crosstalk(crosstalk=crosstalk)
     inserted = frozenset(ORACLE_CHAINS[oracle_id]) - frozenset(ORACLE_CHAINS["identity"])
     return OracleBench(oracle_id, tuple(chain), inserted)
 
@@ -174,7 +180,7 @@ _BIT_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def logical_matrix(oracle_id: str) -> np.ndarray:
     """Ideal 4x4 permutation |x,y> -> |x, y XOR f(x)>, built directly from f."""
-    f = ORACLE_FUNCTIONS[oracle_id]
+    f = _oracle_function(oracle_id)
     matrix = np.zeros((4, 4), dtype=complex)
     for j, (x, y) in enumerate(_BIT_ORDER):
         i = _BIT_ORDER.index((x, y ^ f[x]))

@@ -75,8 +75,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_int(name: str, value) -> int:
+    if not _is_int(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_numbers(**values) -> None:
     for name, value in values.items():
+        if type(value) is float:  # the common case, without the ABC check below
+            continue
         if isinstance(value, bool):  # it would pass every range check as 0 or 1
             raise TypeError(f"{name} must be a number, not a bool")
         if not isinstance(value, numbers.Real):
@@ -93,8 +101,7 @@ class ModeSpace:
     dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l_max, int) or isinstance(self.l_max, bool):
-            raise TypeError(f"l_max must be an integer, got {self.l_max!r}")
+        object.__setattr__(self, "l_max", _require_int("l_max", self.l_max))
         if self.l_max < MIN_L_MAX:
             raise TruncationError(
                 f"l_max={self.l_max} is below the minimum {MIN_L_MAX}; the "
@@ -271,8 +278,8 @@ class ElementOp:
 
     def _setup(self, space, survival_factor, label, factors=None) -> None:
         _require_numbers(survival_factor=survival_factor)
-        # written so that a NaN factor fails too
-        if not 0.0 < survival_factor <= 1.0:
+        # written so that a NaN factor fails too; a composite's product can underflow to 0
+        if not (0.0 < survival_factor <= 1.0 or factors and survival_factor == 0.0):
             raise ValueError(f"survival_factor must lie in (0, 1], got {survival_factor!r}")
         init = object.__setattr__
         init(self, "space", space)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -406,6 +407,25 @@ def test_sample_counts_names_the_bad_parameter(shots, seed, name):
         sample_counts([0.5, 0.5], shots, seed=seed)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         run("identity", shots=shots, seed=seed)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in _leaves(v)]
+    return [value]
+
+
+def test_reports_hold_python_scalars():
+    want = json.dumps(run("identity", shots=5, seed=3).to_dict())
+    assert json.dumps(run("identity", shots=np.int64(5), seed=np.int64(3)).to_dict()) == want
+    for measurement in (PBS, OAM_SORTER):
+        report = run("cnot", eta=np.float64(0.97), crosstalk=np.float64(0.3), l_max=np.int64(6),
+                     shots=np.int64(100), seed=np.int64(1), measurement=measurement,
+                     threshold=np.float64(0.9))
+        numbers = [v for v in _leaves(report.to_dict()) if not isinstance(v, (str, type(None)))]
+        assert {type(v) for v in numbers} == {int, float}, numbers
+    # the sorter's residual is a float like its siblings, also from the default call
+    assert type(run("identity").residual) is float
 
 
 def test_sample_counts_accepts_the_largest_and_numpy_counts():

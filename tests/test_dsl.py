@@ -243,6 +243,16 @@ def test_compile_rejects_eta_out_of_range():
         compile_bench(parse("qplate q=1 eta=0\n"))
 
 
+def test_compile_names_a_code_built_field_of_the_wrong_type():
+    # the parser never builds these fields; a BenchFile made in code can hold them
+    with pytest.raises(CompileError, match=r"^oams must be integers, got \(2\.5,\)$"):
+        compile_bench(BenchFile(hologram=(2.5,)))
+    with pytest.raises(CompileError, match="^element 1 'hwp': theta must be a number, not a bool$"):
+        compile_bench(BenchFile(elements=(HwpStmt(True),)))
+    with pytest.raises(CompileError, match="^l_max must be an integer, got '6'$"):
+        compile_bench(BenchFile(l_max="6"))
+
+
 def test_compile_rejects_non_integral_2q():
     with pytest.raises(CompileError, match="2q"):
         compile_bench(parse("qplate q=1/3\n"))

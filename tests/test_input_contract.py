@@ -1,0 +1,274 @@
+"""The library's input contract, driven by one pinned table.
+
+Every number-taking parameter of what `spinorbit` exports from `state`,
+`elements`, `dsl`, `logic` and `deutsch` is listed in `TABLE` with the kind of
+value it takes.  Hypothesis (MacIver, Hatfield-Dodds et al., JOSS 4(43), 1891,
+2019) feeds each one the values its kind forbids: bools, NaN, +-inf, 1e308,
+negatives, strings, None and complex numbers.  Each must raise a TypeError or
+ValueError that names the parameter, or the SpinOrbitError its rule defines.
+numpy copies of valid values must give the result the Python values give.
+`reference` is left out: it is the independent cross-check.
+"""
+
+import dataclasses
+import inspect
+import math
+import re
+import warnings
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import spinorbit
+from spinorbit import (
+    BenchFile,
+    CompileError,
+    DovePrismSpec,
+    ElementOp,
+    EncodingError,
+    ModeSpace,
+    PhotonState,
+    Preparation,
+    QPlateSpec,
+    TruncationError,
+    WaveplateSpec,
+    basis_state,
+    build_oracle,
+    classify,
+    compile_bench,
+    encode,
+    logical_matrix,
+    make_space,
+    oracle_class,
+    run,
+    sample_counts,
+)
+
+SPACE = make_space(6)
+_AMPLITUDES = basis_state(SPACE, "L", 0).amplitudes
+
+#: (exported callable, parameter, kind) for every parameter that takes a number
+TABLE = (
+    ("ModeSpace", "l_max", "l_max"),
+    ("make_space", "l_max", "l_max"),
+    ("PhotonState", "survival", "unit"),
+    ("ElementOp", "survival_factor", "efficiency"),
+    ("basis_state", "l", "oam"),
+    ("QPlateSpec", "q", "charge"),
+    ("QPlateSpec", "eta", "efficiency"),
+    ("WaveplateSpec", "theta", "angle"),
+    ("WaveplateSpec", "crosstalk", "unit"),
+    ("DovePrismSpec", "angle", "zero"),
+    ("BenchFile", "l_max", "l_max"),
+    ("BenchFile", "hologram", "oams"),
+    ("Preparation", "oams", "oams"),
+    ("build_oracle", "eta", "efficiency"),
+    ("build_oracle", "crosstalk", "unit"),
+    ("encode", "bits", "bits"),
+    ("classify", "p_balanced_port", "unit"),
+    ("classify", "p_constant_port", "unit"),
+    ("classify", "threshold", "threshold"),
+    ("run", "eta", "efficiency"),
+    ("run", "crosstalk", "unit"),
+    ("run", "shots", "shots"),
+    ("run", "seed", "seed"),
+    ("run", "l_max", "l_max"),
+    ("run", "threshold", "threshold"),
+    ("sample_counts", "probabilities", "weights"),
+    ("sample_counts", "shots", "shots"),
+    ("sample_counts", "seed", "seed"),
+)
+
+#: exported result records: their number fields are outputs, never checked as input
+RESULTS = {"OamSorterProbs", "ParseError", "RunReport", "ShotTally"}
+
+#: each callable with one keyword set, and the SpinOrbitError its rule may raise
+#: in place of naming the parameter (a BenchFile is checked by compile_bench)
+CALLS = {
+    "ModeSpace": (ModeSpace, None),
+    "make_space": (make_space, None),
+    "PhotonState": (lambda **kw: PhotonState(SPACE, _AMPLITUDES, **kw), None),
+    "ElementOp": (lambda **kw: ElementOp(SPACE, **kw), None),
+    "basis_state": (lambda **kw: basis_state(SPACE, "L", **kw), None),
+    "QPlateSpec": (lambda **kw: QPlateSpec(**{"q": 1, **kw}), None),
+    "WaveplateSpec": (lambda **kw: WaveplateSpec(**{"theta": 0.3, **kw}), None),
+    "DovePrismSpec": (DovePrismSpec, None),
+    "BenchFile": (lambda **kw: compile_bench(BenchFile(**kw)), CompileError),
+    "Preparation": (Preparation, None),
+    "build_oracle": (lambda **kw: build_oracle(SPACE, "cnot", **kw), None),
+    "encode": (lambda **kw: encode(SPACE, **kw), EncodingError),
+    "classify": (lambda **kw: classify(**{"p_balanced_port": 0.2, "p_constant_port": 0.8, **kw}),
+                 None),
+    "run": (lambda **kw: run("cnot", **kw), None),
+    "sample_counts": (lambda **kw: sample_counts(**{"probabilities": [0.5, 0.5], "shots": 10,
+                                                     "seed": 0, **kw}), None),
+}
+
+
+class Kind(NamedTuple):
+    valid: st.SearchStrategy
+    bad: st.SearchStrategy
+    #: the SpinOrbitError the kind's own rule raises for a value out of range
+    error: type | None = None
+    #: how one value is placed in the argument (an entry of a sequence, or itself)
+    wrap: Callable = lambda value: value
+
+
+_NOT_NUMBERS = (True, False, "x", "0.5", None, 1j, complex(0.5, 0.0), [0.5])
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_NEGATIVE = st.one_of(st.integers(max_value=-1),
+                      st.floats(max_value=-1e-300, allow_infinity=False))
+_ABOVE_1 = st.floats(min_value=1.000001, allow_nan=False, allow_infinity=False)
+
+
+def _bad(*values, more=()):
+    return st.one_of(st.sampled_from(values), *more)
+
+
+KINDS = {
+    # in [0, 1]
+    "unit": Kind(st.floats(0.0, 1.0),
+                 _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, more=(_NEGATIVE, _ABOVE_1))),
+    # in (0, 1]
+    "efficiency": Kind(st.floats(0.0, 1.0, exclude_min=True),
+                       _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 0.0, more=(_NEGATIVE, _ABOVE_1))),
+    # in [0.5, 1)
+    "threshold": Kind(st.floats(0.5, 1.0, exclude_max=True),
+                      _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 0.49, 1.0, more=(_NEGATIVE,))),
+    # any finite angle whose double is finite: a negative angle is valid
+    "angle": Kind(st.floats(-10.0, 10.0), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308)),
+    # the Dove prism's one orientation
+    "zero": Kind(st.sampled_from((0, 0.0)),
+                 _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 0.5, more=(_NEGATIVE,))),
+    # a rational with 2q integral, from a number or a string: 1e308 and negatives are
+    # valid charges (`qplate` checks the shift against the space)
+    "charge": Kind(st.one_of(st.integers(-4, 4), st.integers(-8, 8).map(lambda n: n / 2)),
+                   _bad(True, False, "x", "1/3", None, 1j, [1], *_NON_FINITE, 0.3)),
+    # numpy's multinomial counts in int64
+    "shots": Kind(st.integers(0, 10**6),
+                  _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2**63, more=(_NEGATIVE,))),
+    # any non-negative integer seeds a SeedSequence
+    "seed": Kind(st.integers(0, 2**62), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0,
+                                             more=(_NEGATIVE,))),
+    "l_max": Kind(st.integers(4, 12), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 6.0,
+                                           more=(_NEGATIVE,)), TruncationError),
+    # an OAM index: a negative one is valid
+    "oam": Kind(st.integers(-4, 4), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2.5)),
+    "oams": Kind(st.integers(-4, 4), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2.5),
+                 wrap=lambda value: (value,)),
+    "bits": Kind(st.sampled_from((0, 1)),
+                 _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 1.0, 2, more=(_NEGATIVE,)),
+                 EncodingError, wrap=lambda value: (value, 0)),
+    # relative weights, divided by their sum: 1e308 is a valid weight, and one above
+    # -1e-12 is a rounding error, taken as 0
+    "weights": Kind(st.floats(0.0, 10.0),
+                    _bad(*_NOT_NUMBERS, *_NON_FINITE, more=(st.integers(max_value=-1),
+                                                            st.floats(max_value=-1e-11))),
+                    wrap=lambda value: [value, 0.5]),
+}
+
+_NUMBER = re.compile(r"\b(int|float)\b")
+
+
+def _exported():
+    """{name: callable} of what `spinorbit` exports from the five contract modules."""
+    modules = {f"spinorbit.{name}" for name in ("state", "elements", "dsl", "logic", "deutsch")}
+    return {name: obj for name, obj in vars(spinorbit).items()
+            if callable(obj) and getattr(obj, "__module__", None) in modules}
+
+
+def test_the_table_covers_every_number_parameter():
+    exported = _exported()
+    listed = {(name, parameter) for name, parameter, _ in TABLE}
+    annotated = set()
+    for name, obj in exported.items():
+        for parameter in inspect.signature(obj).parameters.values():
+            # under `from __future__ import annotations` an annotation is a string
+            if name not in RESULTS and _NUMBER.search(str(parameter.annotation)):
+                annotated.add((name, parameter.name))
+    assert annotated - listed == set()
+    # and every row names a real parameter of an exported callable
+    assert all(parameter in inspect.signature(exported[name]).parameters
+               for name, parameter in listed)
+    assert RESULTS <= set(exported) and set(CALLS) == {name for name, _, _ in TABLE}
+    assert {kind for _, _, kind in TABLE} == set(KINDS)
+
+
+def _optional(name: str, parameter: str) -> bool:
+    return "None" in str(inspect.signature(_exported()[name]).parameters[parameter].annotation)
+
+
+def _has_numpy_copy(value) -> bool:
+    return type(value) is float or type(value) is int and -(2**63) <= value < 2**63
+
+
+def _numpy_copy(value):
+    return np.int64(value) if type(value) is int else np.float64(value)
+
+
+@given(row=st.sampled_from(TABLE), data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_every_number_parameter_rejects_what_its_kind_forbids(row, data):
+    name, parameter, kind_name = row
+    kind = KINDS[kind_name]
+    value = data.draw(kind.bad, label=f"{name}({parameter}=...)")
+    # numpy's copy of a bad number is as bad
+    if _has_numpy_copy(value) and data.draw(st.booleans(), label="as a numpy scalar"):
+        value = _numpy_copy(value)
+    argument = kind.wrap(value)
+    # None selects the default of an optional parameter
+    assume(argument is not None or not _optional(name, parameter))
+    call, call_error = CALLS[name]
+    # a numpy warning on the way (an overflow, say) is no rejection
+    with warnings.catch_warnings(), pytest.raises((TypeError, ValueError)) as info:
+        warnings.simplefilter("error")
+        call(**{parameter: argument})
+    rule_errors = tuple(e for e in (kind.error, call_error) if e is not None)
+    assert parameter in str(info.value) or isinstance(info.value, rule_errors), info.value
+
+
+def _canonical(value):
+    """A value comparable with ==: arrays by bytes, ops by their matrix, records field by field."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, ElementOp):
+        return value.label, value.kind, value.survival_factor, _canonical(value.matrix)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_canonical, value))
+    if isinstance(value, frozenset):
+        return tuple(sorted(value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            _canonical(getattr(value, field.name)) for field in dataclasses.fields(value))
+    return value
+
+
+@given(row=st.sampled_from(TABLE), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_numpy_scalars_give_the_result_python_numbers_give(row, data):
+    name, parameter, kind_name = row
+    kind = KINDS[kind_name]
+    value = data.draw(kind.valid, label=f"{name}({parameter}=...)")
+    call, _ = CALLS[name]
+    want = call(**{parameter: kind.wrap(value)})
+    got = call(**{parameter: kind.wrap(_numpy_copy(value))})
+    assert _canonical(got) == _canonical(want)
+
+
+def test_each_input_has_one_rule():
+    assert run("zcnot", l_max=np.int64(6)).to_dict() == run("zcnot", l_max=6).to_dict()
+    assert QPlateSpec(np.int64(1)) == QPlateSpec(1)
+    with pytest.raises(TypeError, match="^q must be a number, got NoneType$"):
+        QPlateSpec(None)
+    # run checks every argument before it builds, the seed also without shots
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        run("identity", seed=-1)
+    with pytest.raises(TypeError, match="^threshold must be a number, got str$"):
+        run("identity", threshold="0.7")
+    with pytest.raises(ValueError, match="^conversion efficiency eta"):
+        run("identity", eta=0.0, l_max=3)
+    for lookup in (oracle_class, logical_matrix):
+        with pytest.raises(ValueError, match="^unknown oracle 'bogus'"):
+            lookup("bogus")

@@ -13,6 +13,7 @@ from spinorbit import (
     compose,
     fidelity_up_to_phase,
     make_space,
+    run,
 )
 from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
 from spinorbit.state import (
@@ -200,6 +201,17 @@ def test_survival_factorization(space):
     state = apply_chain(chain, basis_state(space, LEFT, 0))
     assert abs(state.survival - np.prod(etas)) <= 1e-15
     assert abs(compose(chain).survival_factor - np.prod(etas)) <= 1e-15
+
+
+def test_survival_of_a_chain_may_underflow_to_zero(space):
+    # each eta lies in (0, 1], but their product is below the smallest float
+    chain = [qplate(space, QPlateSpec(1, 1e-200)) for _ in range(2)]
+    assert compose(chain).survival_factor == 0.0
+    assert apply_chain(chain, basis_state(space, LEFT, 0)).survival == 0.0
+    report = run("identity", eta=1e-200)
+    assert (report.survival, report.verdict) == (0.0, "constant")
+    with pytest.raises(ValueError, match="survival_factor"):
+        ElementOp(space, survival_factor=0.0)
 
 
 def test_norm_preserved_through_random_chains(space):
