@@ -219,13 +219,17 @@ def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.n
     """
     shots, seed = _shots_and_seed(shots, seed)
     _require_numbers(**{f"probabilities[{i}]": p for i, p in enumerate(probabilities)})
-    probs = np.asarray(probabilities, dtype=float)
+    try:
+        probs = np.asarray(probabilities, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"probabilities must be finite, got {list(probabilities)!r}") from None
     if not np.isfinite(probs).all():
         raise ValueError(f"probabilities must be finite, got {probs.tolist()!r}")
     if (probs < -1e-12).any():
         raise ValueError(f"probabilities must be non-negative, got {probs.tolist()!r}")
     probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
+    with np.errstate(over="ignore"):  # finite weights can sum to inf, rejected below
+        total = probs.sum()
     if not 0.0 < total < np.inf:
         raise ValueError(f"probabilities must have a positive, finite sum, got {total!r}")
     probs = probs / total

@@ -7,6 +7,17 @@ one or two distinct 2x2 polarization blocks over the OAM values, and the lens
 is the identity permutation.  None of them fills a dense dim x dim matrix; the
 `matrix` property builds that view only when a caller reads it.
 
+Each factory builds and checks its op once per exact input, in a private
+builder memoized with `functools.lru_cache` (at most `_MEMO_SIZE` ops each),
+and hands every caller the shared op `_relabel`ed to its label: the ops are
+immutable and their arrays read-only, so a caller cannot tell the two apart.
+The key is what the op's bits are made of, never the spec, because equal specs
+can build different bits: `WaveplateSpec(0.0) == WaveplateSpec(-0.0)`, and
+crosstalk 1.0 equals np.float32(1.0).  The q-plate is keyed on the space (equal
+iff l_max is), 2q and float(eta); the waveplate on the space, the aperture and
+the bytes of its distinct circular-basis blocks; the lens and the Dove prism on
+the space alone.  A build that raises caches nothing.
+
 Conventions (pinned so the composed gates come out with +1 row phases):
 
 * A tuned q-plate maps |L, l> -> |R, l+2q> and |R, l> -> |L, l-2q> with
@@ -28,6 +39,7 @@ Conventions (pinned so the composed gates come out with +1 row phases):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,7 +107,11 @@ class WaveplateSpec:
     def __post_init__(self) -> None:
         _require_numbers(theta=self.theta)
         # the circular-basis block holds e^{2i theta}, so 2*theta must be finite
-        if not math.isfinite(2.0 * float(self.theta)):
+        try:
+            finite = math.isfinite(2.0 * float(self.theta))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"theta must be finite, and so must 2*theta; got {self.theta!r}")
         if self.aperture not in (APERTURE_FULL, APERTURE_L0):
             raise ValueError(
@@ -124,13 +140,26 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
 
     Basis states within 2|q| of the truncation edge cannot be shifted; they are
     kept as fixed points but excluded from the input mask, so the operator
-    stays unitary while apply() rejects states that occupy them.  The gather is
-    the identity with the shifted modes, one slice per polarization, moved.
+    stays unitary while apply() rejects states that occupy them.
     """
-    shift = spec.oam_shift
+    return _qplate_op(space, spec.oam_shift, float(spec.eta))._relabel(
+        label or f"qplate(q={spec.q})"
+    )
+
+
+# entries per builder memo.  At l_max 1000 a waveplate op holds 160 KB, a
+# q-plate at most 68 KB and a lens or a Dove prism 32 KB, so the four memos,
+# full of such ops, hold 32 * 292 KB, about 9.3 MB, at worst
+_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _qplate_op(space: ModeSpace, shift: int, eta: float) -> ElementOp:
+    """The q-plate of `qplate`, keyed on l_max, 2q and float(eta).  The gather is
+    the identity with the shifted modes, one slice per polarization, moved."""
     if abs(shift) > 2 * space.l_max:
         raise TruncationError(
-            f"q-plate with q={spec.q} shifts OAM by {shift:+d}, which no state "
+            f"q-plate with q={Fraction(shift, 2)} shifts OAM by {shift:+d}, which no state "
             f"in |l| <= {space.l_max} survives"
         )
     n = space.n_oam
@@ -143,13 +172,7 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
     source[n + hi:2 * n - lo] -= n + shift
     # the input mask holds the shifted modes, which are all of them for q = 0
     mask = source != np.arange(2 * n) if shift else None
-    return ElementOp(
-        space,
-        survival_factor=float(spec.eta),
-        label=label or f"qplate(q={spec.q})",
-        input_mask=mask,
-        source=source,
-    )
+    return ElementOp(space, survival_factor=eta, label="qplate", input_mask=mask, source=source)
 
 
 def _hwp_block_circular(theta: float) -> np.ndarray:
@@ -170,29 +193,51 @@ def _retarder_block_circular(crosstalk: float) -> np.ndarray:
 def hwp(space: ModeSpace, spec: WaveplateSpec, label: str | None = None) -> ElementOp:
     """Half-wave plate, full-aperture or acting on the l=0 component only."""
     active = _hwp_block_circular(spec.theta)
-    index = np.zeros(space.n_oam, dtype=np.intp)
     if spec.aperture == APERTURE_FULL:
-        distinct = np.array((active,), dtype=complex)
+        distinct = active
     else:
         distinct = np.array((_retarder_block_circular(spec.crosstalk), active), dtype=complex)
-        index[space.l_max] = 1
     name = label or (
         f"hwp(theta={spec.theta:g})"
         if spec.aperture == APERTURE_FULL
         else f"hwp(theta={spec.theta:g}, l0_only, crosstalk={spec.crosstalk:g})"
     )
-    return ElementOp._from_blocks(space, distinct, index, label=name)
+    return _hwp_op(space, spec.aperture, distinct.tobytes())._relabel(name)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _hwp_op(space: ModeSpace, aperture: str, distinct: bytes) -> ElementOp:
+    """The waveplate of `hwp`, keyed on l_max, aperture and its distinct blocks' bytes."""
+    index = np.zeros(space.n_oam, dtype=np.intp)
+    if aperture == APERTURE_L0:
+        index[space.l_max] = 1
+    blocks = np.frombuffer(distinct, dtype=complex).reshape(-1, 2, 2)
+    return ElementOp._from_blocks(space, blocks, index, label="hwp")
 
 
 def dove_prism(
     space: ModeSpace, spec: DovePrismSpec = DovePrismSpec(), label: str | None = None
 ) -> ElementOp:
     """OAM inversion |pol, l> -> |pol, -l>; polarization untouched."""
+    return _dove_op(space)._relabel(label or "dove")
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _dove_op(space: ModeSpace) -> ElementOp:
     reversed_k = np.arange(space.n_oam)[::-1]
     source = np.concatenate((reversed_k, space.n_oam + reversed_k))
-    return ElementOp(space, label=label or "dove", source=source)
+    return ElementOp(space, label="dove", source=source)
 
 
 def lens(space: ModeSpace, label: str = "lens") -> ElementOp:
     """Identity in the mode-index representation; kept so benches mirror the layout."""
-    return ElementOp(space, label=label)
+    return _lens_op(space)._relabel(label)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _lens_op(space: ModeSpace) -> ElementOp:
+    return ElementOp(space, label="lens")
+
+
+#: the memoized builders; a test that needs a cold build empties them
+_BUILDERS = (_qplate_op, _hwp_op, _dove_op, _lens_op)

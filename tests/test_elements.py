@@ -11,6 +11,7 @@ from spinorbit import (
     apply_chain,
     basis_state,
     build_oracle,
+    elements,
     make_space,
     measure_pbs,
 )
@@ -269,8 +270,6 @@ def test_hwp_rejects_non_finite_theta(space, theta):
 @pytest.mark.parametrize("block", [[[1.0, 0.0], [0.0, 1.5]], [[1.0, 0.0], [0.0, math.nan]]])
 def test_hwp_rejects_a_bad_distinct_block(space, monkeypatch, patched, block):
     # an l0-only plate checks its two distinct blocks; either may be the bad one
-    import spinorbit.elements as elements
-
     monkeypatch.setattr(elements, patched, lambda _: np.array(block, dtype=complex))
     with pytest.raises(ValueError, match="not unitary"):
         hwp(space, WaveplateSpec(0.3, APERTURE_L0, 0.2))
@@ -394,3 +393,90 @@ def test_polarizer_axis_validation(space):
 )
 def test_every_factory_output_is_unitary(space, factory):
     assert _is_unitary(factory(space))
+
+
+# --- the builders' memo ------------------------------------------------------------
+# each factory builds and checks its op once per exact key and hands out the shared
+# op relabeled; equal specs can hold different bits, so the key is never the spec
+
+
+def _cold(build):
+    for builder in elements._BUILDERS:
+        builder.cache_clear()
+    return build()
+
+
+def _fields(op):
+    arrays = [getattr(op, name) for name in ("source", "blocks", "input_mask", "_blocked")]
+    return (op.label, op.kind, repr(op.survival_factor),
+            [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+#: pairs of calls with equal specs; the first four pairs build different bits
+_EQUAL_SPECS = [
+    (lambda s: hwp(s, WaveplateSpec(0.0)), lambda s: hwp(s, WaveplateSpec(-0.0))),
+    (lambda s: hwp(s, WaveplateSpec(0.1)), lambda s: hwp(s, WaveplateSpec(np.float32(0.1)))),
+    (lambda s: hwp(s, WaveplateSpec(0.3, APERTURE_L0, 1.0), "HWP1"),
+     lambda s: hwp(s, WaveplateSpec(0.3, APERTURE_L0, np.float32(1.0)), "HWP1")),
+    (lambda s: qplate(s, QPlateSpec(1, 0.97), "QP1"),
+     lambda s: qplate(s, QPlateSpec(1, np.float32(0.97)), "QP1")),
+    (lambda s: qplate(s, QPlateSpec(Fraction(-1, 2))),
+     lambda s: qplate(s, QPlateSpec(-0.5), "QP2")),
+    (lambda s: dove_prism(s), lambda s: dove_prism(s, DovePrismSpec(), "DP")),
+    (lambda s: lens(s), lambda s: lens(s, "L2")),
+]
+
+
+@pytest.mark.parametrize("first, second", _EQUAL_SPECS[:4])
+def test_the_equal_specs_build_different_bits(space4, first, second):
+    # so the test below fails on a memo keyed on the spec
+    assert _fields(_cold(lambda: first(space4))) != _fields(_cold(lambda: second(space4)))
+
+
+@pytest.mark.parametrize("l_max", [4, 6, 64, 1000])
+def test_a_warm_memo_op_equals_a_cold_build(l_max):
+    space = make_space(l_max)
+    calls = [build for pair in _EQUAL_SPECS for build in pair] * 2  # the second round hits
+    warm = [build(space) for build in calls]
+    for op, build in zip(warm, calls):
+        assert _fields(op) == _fields(_cold(lambda: build(space)))
+
+
+def test_a_hit_shares_the_read_only_arrays_under_its_own_label(space):
+    first, second = hwp(space, WaveplateSpec(0.3), "A"), hwp(space, WaveplateSpec(0.3), "B")
+    assert first is not second and (first.label, second.label) == ("A", "B")
+    assert second.blocks is first.blocks and not second.blocks.flags.writeable
+    assert elements._hwp_op.cache_info().hits == 1
+
+
+def test_the_memo_keeps_at_most_maxsize_entries():
+    space = make_space(1000)
+    maxsize = elements._hwp_op.cache_info().maxsize
+    for k in range(maxsize + 8):
+        hwp(space, WaveplateSpec(0.01 * k))
+    assert elements._hwp_op.cache_info().currsize == maxsize
+    assert all(builder.cache_info().maxsize == maxsize for builder in elements._BUILDERS)
+
+
+def _memo_sizes():
+    return [builder.cache_info().currsize for builder in elements._BUILDERS]
+
+
+def test_a_factory_that_raises_caches_nothing(space4, monkeypatch):
+    for _ in range(2):  # and raises again
+        with pytest.raises(TruncationError, match=r"q=9/2 shifts OAM by \+9"):
+            qplate(space4, QPlateSpec(Fraction(9, 2)))
+    assert _memo_sizes() == [0, 0, 0, 0]
+    monkeypatch.setattr(elements, "_hwp_block_circular",
+                        lambda _: np.array([[1.0, 0.0], [0.0, 1.5]], dtype=complex))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not unitary"):
+            hwp(space4, WaveplateSpec(0.3))
+    assert _memo_sizes() == [0, 0, 0, 0]
+    monkeypatch.undo()
+    assert _is_unitary(hwp(space4, WaveplateSpec(0.3)))
+
+
+def test_each_test_starts_with_empty_memos(space):
+    # the tests above filled them; conftest empties them before each test
+    assert _memo_sizes() == [0, 0, 0, 0]

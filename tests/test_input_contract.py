@@ -107,9 +107,19 @@ CALLS = {
 }
 
 
+class Bad(NamedTuple):
+    """The values a kind forbids: each listed one, and what the strategies draw."""
+
+    values: tuple
+    more: tuple = ()
+
+    def strategy(self) -> st.SearchStrategy:
+        return st.one_of(st.sampled_from(self.values), *self.more)
+
+
 class Kind(NamedTuple):
     valid: st.SearchStrategy
-    bad: st.SearchStrategy
+    bad: Bad
     #: the SpinOrbitError the kind's own rule raises for a value out of range
     error: type | None = None
     #: how one value is placed in the argument (an entry of a sequence, or itself)
@@ -121,27 +131,36 @@ _NON_FINITE = (math.nan, math.inf, -math.inf)
 _NEGATIVE = st.one_of(st.integers(max_value=-1),
                       st.floats(max_value=-1e-300, allow_infinity=False))
 _ABOVE_1 = st.floats(min_value=1.000001, allow_nan=False, allow_infinity=False)
+#: ints beyond the float range: a float rule must name its parameter, not overflow
+_BEYOND_FLOAT = (10**400, -(10**400))
+#: two weights, each valid, whose float sum overflows to inf
+_OVERFLOWING_SUM = (1e308, 1e308)
 
 
 def _bad(*values, more=()):
-    return st.one_of(st.sampled_from(values), *more)
+    return Bad(values, more)
 
 
 KINDS = {
     # in [0, 1]
     "unit": Kind(st.floats(0.0, 1.0),
-                 _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, more=(_NEGATIVE, _ABOVE_1))),
+                 _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, *_BEYOND_FLOAT,
+                      more=(_NEGATIVE, _ABOVE_1))),
     # in (0, 1]
     "efficiency": Kind(st.floats(0.0, 1.0, exclude_min=True),
-                       _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 0.0, more=(_NEGATIVE, _ABOVE_1))),
+                       _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, *_BEYOND_FLOAT, 0.0,
+                            more=(_NEGATIVE, _ABOVE_1))),
     # in [0.5, 1)
     "threshold": Kind(st.floats(0.5, 1.0, exclude_max=True),
-                      _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 0.49, 1.0, more=(_NEGATIVE,))),
+                      _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, *_BEYOND_FLOAT, 0.49, 1.0,
+                           more=(_NEGATIVE,))),
     # any finite angle whose double is finite: a negative angle is valid
-    "angle": Kind(st.floats(-10.0, 10.0), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308)),
+    "angle": Kind(st.floats(-10.0, 10.0),
+                  _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, *_BEYOND_FLOAT)),
     # the Dove prism's one orientation
     "zero": Kind(st.sampled_from((0, 0.0)),
-                 _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 0.5, more=(_NEGATIVE,))),
+                 _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, *_BEYOND_FLOAT, 0.5,
+                      more=(_NEGATIVE,))),
     # a rational with 2q integral, from a number or a string: 1e308 and negatives are
     # valid charges (`qplate` checks the shift against the space)
     "charge": Kind(st.one_of(st.integers(-4, 4), st.integers(-8, 8).map(lambda n: n / 2)),
@@ -162,11 +181,11 @@ KINDS = {
                  _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 1.0, 2, more=(_NEGATIVE,)),
                  EncodingError, wrap=lambda value: (value, 0)),
     # relative weights, divided by their sum: 1e308 is a valid weight, and one above
-    # -1e-12 is a rounding error, taken as 0
+    # -1e-12 is a rounding error, taken as 0; a tuple is a whole weight list
     "weights": Kind(st.floats(0.0, 10.0),
-                    _bad(*_NOT_NUMBERS, *_NON_FINITE, more=(st.integers(max_value=-1),
-                                                            st.floats(max_value=-1e-11))),
-                    wrap=lambda value: [value, 0.5]),
+                    _bad(*_NOT_NUMBERS, *_NON_FINITE, *_BEYOND_FLOAT, _OVERFLOWING_SUM,
+                         more=(st.integers(max_value=-1), st.floats(max_value=-1e-11))),
+                    wrap=lambda value: list(value) if type(value) is tuple else [value, 0.5]),
 }
 
 _NUMBER = re.compile(r"\b(int|float)\b")
@@ -208,18 +227,8 @@ def _numpy_copy(value):
     return np.int64(value) if type(value) is int else np.float64(value)
 
 
-@given(row=st.sampled_from(TABLE), data=st.data())
-@settings(max_examples=600, deadline=None)
-def test_every_number_parameter_rejects_what_its_kind_forbids(row, data):
-    name, parameter, kind_name = row
-    kind = KINDS[kind_name]
-    value = data.draw(kind.bad, label=f"{name}({parameter}=...)")
-    # numpy's copy of a bad number is as bad
-    if _has_numpy_copy(value) and data.draw(st.booleans(), label="as a numpy scalar"):
-        value = _numpy_copy(value)
+def _assert_rejected(name: str, parameter: str, kind: Kind, value) -> None:
     argument = kind.wrap(value)
-    # None selects the default of an optional parameter
-    assume(argument is not None or not _optional(name, parameter))
     call, call_error = CALLS[name]
     # a numpy warning on the way (an overflow, say) is no rejection
     with warnings.catch_warnings(), pytest.raises((TypeError, ValueError)) as info:
@@ -227,6 +236,35 @@ def test_every_number_parameter_rejects_what_its_kind_forbids(row, data):
         call(**{parameter: argument})
     rule_errors = tuple(e for e in (kind.error, call_error) if e is not None)
     assert parameter in str(info.value) or isinstance(info.value, rule_errors), info.value
+
+
+def _selects_a_default(name: str, parameter: str, kind: Kind, value) -> bool:
+    # None selects the default of an optional parameter
+    return kind.wrap(value) is None and _optional(name, parameter)
+
+
+@given(row=st.sampled_from(TABLE), data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_every_number_parameter_rejects_what_its_kind_forbids(row, data):
+    name, parameter, kind_name = row
+    kind = KINDS[kind_name]
+    value = data.draw(kind.bad.strategy(), label=f"{name}({parameter}=...)")
+    # numpy's copy of a bad number is as bad
+    if _has_numpy_copy(value) and data.draw(st.booleans(), label="as a numpy scalar"):
+        value = _numpy_copy(value)
+    assume(not _selects_a_default(name, parameter, kind, value))
+    _assert_rejected(name, parameter, kind, value)
+
+
+@pytest.mark.parametrize("name, parameter, kind_name", TABLE)
+def test_every_listed_bad_value_is_rejected(name, parameter, kind_name):
+    # each listed value once, and its numpy copy, whatever the draws above hit
+    kind = KINDS[kind_name]
+    for value in kind.bad.values:
+        copies = (value, _numpy_copy(value)) if _has_numpy_copy(value) else (value,)
+        for copy in copies:
+            if not _selects_a_default(name, parameter, kind, copy):
+                _assert_rejected(name, parameter, kind, copy)
 
 
 def _canonical(value):

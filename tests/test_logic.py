@@ -173,13 +173,15 @@ def test_build_oracle_builds_each_distinct_statement_once(space, monkeypatch, or
 @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
 @pytest.mark.parametrize("eta, crosstalk", [(1.0, 0.0), (0.97, 0.3)])
 def test_repeated_ops_equal_ops_built_afresh(oracle_id, eta, crosstalk):
-    from spinorbit import dsl
+    from spinorbit import dsl, elements
 
     space = make_space(6)
     for op, (label, stmt) in zip(
         build_oracle(space, oracle_id, eta, crosstalk).elements,
         oracle_recipe(oracle_id, eta, crosstalk),
     ):
+        for builder in elements._BUILDERS:  # a cold build, not the memo's op
+            builder.cache_clear()
         fresh = dsl._build_element(space, label, *dsl._element_spec(stmt))
         assert (op.label, op.kind, repr(op.survival_factor)) == (
             fresh.label, fresh.kind, repr(fresh.survival_factor)
