@@ -10,10 +10,17 @@ antisymmetric +2/-2 superpositions.
 
 Loss is scalar, so detector probabilities are reported conditioned on the
 photon surviving; `survival` carries the heralding factor separately.
+
+The probe and the expected outputs depend only on the truncation, so each is
+built and checked once per space (and oracle), in a private builder memoized
+with `functools.lru_cache` (`_probe`, `_expected`), and shared after: a state
+is immutable, so a caller cannot tell it from a fresh one.  The arguments are
+checked before the lookup, so an invalid one caches nothing.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,8 +38,10 @@ from .state import (
     ModeSpace,
     V_CIRCULAR,
     _INV_SQRT2,
+    _MEMO_SIZE,
     _is_int,
     _require_numbers,
+    _require_space,
     apply_chain,
     fidelity_up_to_phase,
     make_space,
@@ -56,6 +65,13 @@ _PROBE = Preparation("V", (2, -2))
 
 def prepare_input(space: ModeSpace) -> PhotonState:
     """Prepared probe state: amplitudes (+1, +1, -1, -1)/2 on (L,+2), (L,-2), (R,+2), (R,-2)."""
+    return _probe(_require_space(space))
+
+
+# the probe and expected-output memos hold states of 64 KB each at l_max 1000,
+# at most _MEMO_SIZE (32) each: 2 MB per memo at worst
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _probe(space: ModeSpace) -> PhotonState:
     return _PROBE.initial_state(space)
 
 
@@ -65,6 +81,13 @@ def expected_output(space: ModeSpace, oracle_id: str) -> PhotonState:
     identity: +input;  not: -input;
     cnot: +(|L> + |R>)(|+2> - |-2>)/2;  zcnot: the same with a - sign.
     """
+    _require_space(space)
+    _oracle_function(oracle_id)
+    return _expected(space, oracle_id)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _expected(space: ModeSpace, oracle_id: str) -> PhotonState:
     if oracle_class(oracle_id) == CONSTANT:
         base = prepare_input(space).amplitudes.copy()
     else:
@@ -218,11 +241,17 @@ def sample_counts(probabilities: Sequence[float], shots: int, seed: int) -> np.n
     The draw uses SeedSequence(seed, spawn_key=(0,)), the first stream SeedSequence(seed) spawns.
     """
     shots, seed = _shots_and_seed(shots, seed)
-    _require_numbers(**{f"probabilities[{i}]": p for i, p in enumerate(probabilities)})
     try:
-        probs = np.asarray(probabilities, dtype=float)
+        weights = list(probabilities)
+    except TypeError:
+        raise TypeError(
+            f"probabilities must be a sequence of numbers, got {type(probabilities).__name__}"
+        ) from None
+    _require_numbers(**{f"probabilities[{i}]": p for i, p in enumerate(weights)})
+    try:
+        probs = np.asarray(weights, dtype=float)
     except OverflowError:  # an int beyond the float range
-        raise ValueError(f"probabilities must be finite, got {list(probabilities)!r}") from None
+        raise ValueError(f"probabilities must be finite, got {weights!r}") from None
     if not np.isfinite(probs).all():
         raise ValueError(f"probabilities must be finite, got {probs.tolist()!r}")
     if (probs < -1e-12).any():

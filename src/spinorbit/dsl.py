@@ -56,6 +56,7 @@ from .state import (
     PhotonState,
     _is_int,
     _require_int,
+    _require_space,
     make_space,
 )
 
@@ -335,7 +336,13 @@ class Preparation:
     oams: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "oams", tuple(self.oams))
+        try:
+            object.__setattr__(self, "oams", tuple(self.oams))
+        except TypeError:  # not a sequence; a bench file's `hologram` becomes oams
+            raise TypeError(
+                f"oams (the hologram's OAM values) must be a sequence of integers, "
+                f"got {type(self.oams).__name__}"
+            ) from None
         if self.axis not in ("H", "V"):
             raise ValueError(f"axis must be 'H' or 'V', got {self.axis!r}")
         if not self.oams:
@@ -352,7 +359,7 @@ class Preparation:
         carry the same overall phase the analytic input/output states use.
         """
         value = 1.0 / math.sqrt(2.0) * (1.0 / math.sqrt(len(self.oams)))
-        amps = np.zeros(space.dimension, dtype=complex)
+        amps = np.zeros(_require_space(space).dimension, dtype=complex)
         for l in self.oams:
             amps[space.index(LEFT, l)] = value
             amps[space.index(RIGHT, l)] = -value if self.axis == "V" else value
@@ -403,6 +410,8 @@ def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledB
     excludes it, or that moves it beyond `l_max` (below the space's l_max only
     under the `MIN_L_MAX` floor).  Only a q-plate moves l, by its shift.
     """
+    if space is not None:
+        _require_space(space)
     if len(bench.elements) > MAX_ELEMENTS:
         raise CompileError(
             f"bench has {len(bench.elements)} elements; the limit is {MAX_ELEMENTS}"

@@ -16,7 +16,8 @@ can build different bits: `WaveplateSpec(0.0) == WaveplateSpec(-0.0)`, and
 crosstalk 1.0 equals np.float32(1.0).  The q-plate is keyed on the space (equal
 iff l_max is), 2q and float(eta); the waveplate on the space, the aperture and
 the bytes of its distinct circular-basis blocks; the lens and the Dove prism on
-the space alone.  A build that raises caches nothing.
+the space alone.  A build that raises caches nothing, and each factory checks
+that `space` is a ModeSpace before the lookup.
 
 Conventions (pinned so the composed gates come out with +1 row phases):
 
@@ -47,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .state import ElementOp, ModeSpace, _is_int, _require_numbers
+from .state import _MEMO_SIZE, ElementOp, ModeSpace, _is_int, _require_numbers, _require_space
 
 APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
@@ -142,17 +143,14 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
     kept as fixed points but excluded from the input mask, so the operator
     stays unitary while apply() rejects states that occupy them.
     """
-    return _qplate_op(space, spec.oam_shift, float(spec.eta))._relabel(
+    return _qplate_op(_require_space(space), spec.oam_shift, float(spec.eta))._relabel(
         label or f"qplate(q={spec.q})"
     )
 
 
-# entries per builder memo.  At l_max 1000 a waveplate op holds 160 KB, a
-# q-plate at most 68 KB and a lens or a Dove prism 32 KB, so the four memos,
-# full of such ops, hold 32 * 292 KB, about 9.3 MB, at worst
-_MEMO_SIZE = 32
-
-
+# at l_max 1000 a waveplate op holds 160 KB, a q-plate at most 68 KB and a lens
+# or a Dove prism 32 KB, so the four builder memos, full of such ops, hold
+# _MEMO_SIZE (32) * 292 KB, about 9.3 MB, at worst
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _qplate_op(space: ModeSpace, shift: int, eta: float) -> ElementOp:
     """The q-plate of `qplate`, keyed on l_max, 2q and float(eta).  The gather is
@@ -192,6 +190,7 @@ def _retarder_block_circular(crosstalk: float) -> np.ndarray:
 
 def hwp(space: ModeSpace, spec: WaveplateSpec, label: str | None = None) -> ElementOp:
     """Half-wave plate, full-aperture or acting on the l=0 component only."""
+    _require_space(space)
     active = _hwp_block_circular(spec.theta)
     if spec.aperture == APERTURE_FULL:
         distinct = active
@@ -219,7 +218,7 @@ def dove_prism(
     space: ModeSpace, spec: DovePrismSpec = DovePrismSpec(), label: str | None = None
 ) -> ElementOp:
     """OAM inversion |pol, l> -> |pol, -l>; polarization untouched."""
-    return _dove_op(space)._relabel(label or "dove")
+    return _dove_op(_require_space(space))._relabel(label or "dove")
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -231,7 +230,7 @@ def _dove_op(space: ModeSpace) -> ElementOp:
 
 def lens(space: ModeSpace, label: str = "lens") -> ElementOp:
     """Identity in the mode-index representation; kept so benches mirror the layout."""
-    return _lens_op(space)._relabel(label)
+    return _lens_op(_require_space(space))._relabel(label)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

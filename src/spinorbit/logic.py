@@ -12,10 +12,16 @@ share the two q-plates and two lenses; waveplates and the Dove prism are
 inserted or removed to select the oracle (`ORACLE_CHAINS`).  `oracle_recipe`
 writes each chain once, as labelled `.bench` statements that `build_oracle`
 builds as `compile_bench` would and the corpus files repeat.
+
+`encode` builds each encoded ket once per space, in a private builder memoized
+with `functools.lru_cache` (`_ket`), and shares it after: a state is
+immutable, so a caller cannot tell it from a fresh one.  The space and the
+bits are checked before the lookup, so invalid ones cache nothing.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +33,13 @@ from .errors import EncodingError, GateBrokenError
 from .state import (
     LEFT,
     RIGHT,
+    _MEMO_SIZE,
     ElementOp,
     ModeSpace,
     PhotonState,
     _act,
     _is_int,
+    _require_space,
     apply,
     basis_state,
     compose,
@@ -76,10 +84,16 @@ DECODE_TOL = 1e-9
 
 def encode(space: ModeSpace, bits: tuple[int, int]) -> PhotonState:
     """Physical ket for logical |x, y>."""
+    _require_space(space)
     if not (isinstance(bits, tuple) and all(map(_is_int, bits)) and bits in LOGICAL_STATES):
         raise EncodingError(f"logical bits must be in {{0,1}}^2, got {bits!r}")
-    pol, l = LOGICAL_STATES[bits]
-    return basis_state(space, pol, l)
+    return _ket(space, bits)
+
+
+# four kets per space, of 64 KB each at l_max 1000; at most _MEMO_SIZE (32), 2 MB
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _ket(space: ModeSpace, bits: tuple[int, int]) -> PhotonState:
+    return basis_state(space, *LOGICAL_STATES[bits])
 
 
 def decode(state: PhotonState) -> tuple[int, int]:
@@ -139,6 +153,7 @@ def build_oracle(
 ) -> OracleBench:
     """Build the chain of `oracle_recipe`, each element under its label; a repeated
     statement (QP2, L2, HWP3) is not built again but its first op `_relabel`ed."""
+    _require_space(space)
     built, chain = {}, []  # keyed by id(): the recipe repeats a statement as one object
     for label, stmt in oracle_recipe(oracle_id, eta, crosstalk):
         first = built.get(id(stmt))

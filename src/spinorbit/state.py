@@ -24,10 +24,18 @@ Every operator has one form, a gather of the mode vector followed by a 2x2
 polarization block per OAM index (`ElementOp`).  A chain of them is never
 multiplied out: `compose` collects its factors and `apply` runs them in turn
 in one pass (`apply_chain`), building one state.
+
+`make_space` builds one `ModeSpace` per truncation and hands it to every later
+caller (`_space`, memoized with `functools.lru_cache`); the space is frozen,
+so a caller cannot tell it from a fresh one.  `_MEMO_SIZE` bounds the memos of
+ops and states that `elements`, `deutsch` and `logic` keep.  Each public
+function that takes a space checks it first (`_require_space`), so a wrong
+type raises a TypeError that names `space`, before any memo lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -55,6 +63,10 @@ UNITARITY_TOL = 1e-12
 #: amplitude magnitude above which a guarded (edge-of-truncation) mode counts
 #: as occupied
 GUARD_TOL = 1e-12
+
+#: entries per memo of ops or states.  At l_max 1000 a state holds 4002
+#: amplitudes, 64 KB, so a full memo of states holds 32 * 64 KB, 2 MB, at worst
+_MEMO_SIZE = 32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -91,6 +103,19 @@ def _require_numbers(**values) -> None:
             raise TypeError(f"{name} must be a number, got {type(value).__name__}")
 
 
+def _check_l_max(l_max) -> int:
+    """`l_max` as an int in [MIN_L_MAX, MAX_L_MAX]: the one rule of a truncation."""
+    l_max = _require_int("l_max", l_max)
+    if l_max < MIN_L_MAX:
+        raise TruncationError(
+            f"l_max={l_max} is below the minimum {MIN_L_MAX}; the "
+            f"composite CNOT bench reaches intermediate OAM +/-4"
+        )
+    if l_max > MAX_L_MAX:
+        raise TruncationError(f"l_max={l_max} is above the maximum {MAX_L_MAX}")
+    return l_max
+
+
 @dataclass(frozen=True)
 class ModeSpace:
     """Truncated polarization (x) OAM space with the documented basis ordering;
@@ -101,16 +126,7 @@ class ModeSpace:
     dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l_max", _require_int("l_max", self.l_max))
-        if self.l_max < MIN_L_MAX:
-            raise TruncationError(
-                f"l_max={self.l_max} is below the minimum {MIN_L_MAX}; the "
-                f"composite CNOT bench reaches intermediate OAM +/-4"
-            )
-        if self.l_max > MAX_L_MAX:
-            raise TruncationError(
-                f"l_max={self.l_max} is above the maximum {MAX_L_MAX}"
-            )
+        object.__setattr__(self, "l_max", _check_l_max(self.l_max))
         object.__setattr__(self, "n_oam", 2 * self.l_max + 1)
         object.__setattr__(self, "dimension", 2 * self.n_oam)
 
@@ -139,8 +155,22 @@ class ModeSpace:
 
 
 def make_space(l_max: int) -> ModeSpace:
-    """Build the truncated mode space; rejects l_max outside [4, 1000]."""
+    """The truncated mode space; rejects l_max outside [4, 1000].  One space per
+    l_max, built on first use and shared after."""
+    return _space(_check_l_max(l_max))
+
+
+# one entry per valid l_max, so the range bounds it: 997 spaces of under 0.5 KB
+@functools.lru_cache(maxsize=MAX_L_MAX - MIN_L_MAX + 1)
+def _space(l_max: int) -> ModeSpace:
     return ModeSpace(l_max)
+
+
+def _require_space(space) -> ModeSpace:
+    """`space` itself if it is a ModeSpace; else a TypeError naming it."""
+    if not isinstance(space, ModeSpace):
+        raise TypeError(f"space must be a ModeSpace, got {type(space).__name__}")
+    return space
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +187,7 @@ class PhotonState:
     survival: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_space(self.space)
         # no copy needed: the stored array is the fresh quotient amps / norm
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.space.dimension,):
@@ -191,7 +222,7 @@ def _norm(amps: np.ndarray) -> float:
 
 def basis_state(space: ModeSpace, pol: str, l: int) -> PhotonState:
     """Freshly prepared basis ket |pol, l> with survival 1."""
-    amps = np.zeros(space.dimension, dtype=complex)
+    amps = np.zeros(_require_space(space).dimension, dtype=complex)
     amps[space.index(pol, l)] = 1.0
     return PhotonState(space, amps)
 
@@ -277,6 +308,7 @@ class ElementOp:
         return op
 
     def _setup(self, space, survival_factor, label, factors=None) -> None:
+        _require_space(space)
         _require_numbers(survival_factor=survival_factor)
         # written so that a NaN factor fails too; a composite's product can underflow to 0
         if not (0.0 < survival_factor <= 1.0 or factors and survival_factor == 0.0):

@@ -1,14 +1,29 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from spinorbit import elements, make_space
+import spinorbit
+from spinorbit import make_space
+
+
+def package_memos():
+    """Every memo in the package: each object with `cache_clear` bound in a
+    `spinorbit` module, so a memo added later is found too."""
+    memos = {}
+    for info in pkgutil.walk_packages(spinorbit.__path__, "spinorbit."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if callable(getattr(value, "cache_clear", None)):
+                memos[id(value)] = value
+    return list(memos.values())
 
 
 @pytest.fixture(autouse=True)
-def _cold_element_memos():
-    """Each test starts with the element builders' memos empty, so none sees an op
-    that an earlier test built (under a patch, say)."""
-    for builder in elements._BUILDERS:
-        builder.cache_clear()
+def _cold_memos():
+    """Each test starts with every memo of the package empty, so none sees an op or
+    a state that an earlier test built (under a patch, say)."""
+    for memo in package_memos():
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import package_memos
 from hypothesis import assume, given, settings, strategies as st
 
 from spinorbit import (
@@ -14,6 +15,7 @@ from spinorbit import (
     make_space,
     oracle_class,
 )
+from spinorbit import deutsch
 from spinorbit.deutsch import (
     BALANCED,
     CONSTANT,
@@ -29,7 +31,7 @@ from spinorbit.deutsch import (
     sample_counts,
 )
 from spinorbit.dsl import Preparation
-from spinorbit.state import H_CIRCULAR, LEFT, PhotonState, RIGHT, V_CIRCULAR
+from spinorbit.state import H_CIRCULAR, LEFT, MAX_L_MAX, ModeSpace, PhotonState, RIGHT, V_CIRCULAR
 
 
 def _linear_ket(space, axis_vec, l):
@@ -445,6 +447,10 @@ def test_run_prepares_the_probe_once(oracle_id, monkeypatch):
     monkeypatch.setattr(Preparation, "initial_state", counted)
     run(oracle_id)
     assert len(calls) == 1
+    # the probe is memoized per space: a second run prepares none
+    calls.clear()
+    run(oracle_id)
+    assert calls == []
 
 
 def test_run_rejects_unknown_oracle_and_measurement():
@@ -468,3 +474,58 @@ def test_expected_output_signs(space):
     cnot = expected_output(space, "cnot")
     zcnot = expected_output(space, "zcnot")
     assert np.abs(cnot.amplitudes + zcnot.amplitudes).max() <= 1e-15
+
+
+# --- the probe and expected-output memos ---------------------------------------------
+# both depend only on the truncation (and the oracle), so each is built once per key
+
+
+def _bits(state):
+    return state.space, state.amplitudes.dtype.str, state.amplitudes.tobytes(), repr(state.survival)
+
+
+def _cold(build):
+    for memo in package_memos():
+        memo.cache_clear()
+    return build()
+
+
+def _states(space):
+    return [prepare_input(space)] + [expected_output(space, o) for o in ORACLE_IDS]
+
+
+@pytest.mark.parametrize("l_max", [4, 6, 64, 1000])
+def test_a_warm_memo_state_equals_a_cold_build(l_max):
+    space = make_space(l_max)
+    _states(space)
+    warm = _states(space)  # every call hits
+    # the constant oracles' expected outputs are built from the probe
+    assert deutsch._probe.cache_info().misses == 1 and deutsch._expected.cache_info().hits == 4
+    cold = _cold(lambda: _states(make_space(l_max)))
+    assert [_bits(state) for state in warm] == [_bits(state) for state in cold]
+
+
+def test_a_hit_shares_the_read_only_state(space):
+    probe = prepare_input(space)
+    # a space built directly equals the memo's and finds the same entry
+    assert prepare_input(ModeSpace(space.l_max)) is probe
+    assert expected_output(space, "cnot") is expected_output(ModeSpace(space.l_max), "cnot")
+    assert not probe.amplitudes.flags.writeable
+
+
+def test_an_unknown_oracle_caches_nothing(space):
+    expected_output(space, "cnot")
+    before = deutsch._expected.cache_info()
+    for _ in range(2):  # and raises again, checked before the lookup
+        with pytest.raises(ValueError, match="unknown oracle 'bogus'"):
+            expected_output(space, "bogus")
+    assert deutsch._expected.cache_info() == before and before.currsize == 1
+
+
+def test_the_state_memos_keep_at_most_maxsize_entries():
+    maxsize = deutsch._expected.cache_info().maxsize
+    spaces = [make_space(MAX_L_MAX - k) for k in range(maxsize // len(ORACLE_IDS) + 2)]
+    for space in spaces:
+        _states(space)
+    assert deutsch._expected.cache_info().currsize == maxsize
+    assert deutsch._probe.cache_info().currsize == len(spaces) <= maxsize

@@ -15,6 +15,7 @@ import inspect
 import math
 import re
 import warnings
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,13 +39,21 @@ from spinorbit import (
     build_oracle,
     classify,
     compile_bench,
+    dove_prism,
     encode,
+    expected_output,
+    hwp,
+    lens,
     logical_matrix,
     make_space,
     oracle_class,
+    prepare_input,
+    qplate,
     run,
     sample_counts,
 )
+from spinorbit.dsl import DoveStmt, HwpStmt, LensStmt, QPlateStmt
+from spinorbit.elements import APERTURE_L0
 
 SPACE = make_space(6)
 _AMPLITUDES = basis_state(SPACE, "L", 0).amplitudes
@@ -126,6 +135,18 @@ class Kind(NamedTuple):
     wrap: Callable = lambda value: value
 
 
+@dataclasses.dataclass(frozen=True)
+class Whole:
+    """A bad value passed as the whole argument of a sequence kind, not as an entry."""
+
+    value: object
+
+
+def _entry(place):
+    """A `Kind.wrap` that passes a `Whole` as the argument and places any other value."""
+    return lambda value: value.value if isinstance(value, Whole) else place(value)
+
+
 _NOT_NUMBERS = (True, False, "x", "0.5", None, 1j, complex(0.5, 0.0), [0.5])
 _NON_FINITE = (math.nan, math.inf, -math.inf)
 _NEGATIVE = st.one_of(st.integers(max_value=-1),
@@ -134,7 +155,7 @@ _ABOVE_1 = st.floats(min_value=1.000001, allow_nan=False, allow_infinity=False)
 #: ints beyond the float range: a float rule must name its parameter, not overflow
 _BEYOND_FLOAT = (10**400, -(10**400))
 #: two weights, each valid, whose float sum overflows to inf
-_OVERFLOWING_SUM = (1e308, 1e308)
+_OVERFLOWING_SUM = Whole([1e308, 1e308])
 
 
 def _bad(*values, more=()):
@@ -175,17 +196,19 @@ KINDS = {
                                            more=(_NEGATIVE,)), TruncationError),
     # an OAM index: a negative one is valid
     "oam": Kind(st.integers(-4, 4), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2.5)),
-    "oams": Kind(st.integers(-4, 4), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2.5),
-                 wrap=lambda value: (value,)),
+    "oams": Kind(st.integers(-4, 4),
+                 _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2.5, Whole(5)),
+                 wrap=_entry(lambda value: (value,))),
     "bits": Kind(st.sampled_from((0, 1)),
                  _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 1.0, 2, more=(_NEGATIVE,)),
                  EncodingError, wrap=lambda value: (value, 0)),
     # relative weights, divided by their sum: 1e308 is a valid weight, and one above
-    # -1e-12 is a rounding error, taken as 0; a tuple is a whole weight list
+    # -1e-12 is a rounding error, taken as 0
     "weights": Kind(st.floats(0.0, 10.0),
                     _bad(*_NOT_NUMBERS, *_NON_FINITE, *_BEYOND_FLOAT, _OVERFLOWING_SUM,
+                         Whole(0.5),
                          more=(st.integers(max_value=-1), st.floats(max_value=-1e-11))),
-                    wrap=lambda value: list(value) if type(value) is tuple else [value, 0.5]),
+                    wrap=_entry(lambda value: [value, 0.5])),
 }
 
 _NUMBER = re.compile(r"\b(int|float)\b")
@@ -310,3 +333,63 @@ def test_each_input_has_one_rule():
     for lookup in (oracle_class, logical_matrix):
         with pytest.raises(ValueError, match="^unknown oracle 'bogus'"):
             lookup("bogus")
+
+
+def test_a_non_sequence_names_its_parameter():
+    # each is iterated; the error names the parameter, not `'int' object is not iterable`
+    with pytest.raises(TypeError, match="^oams .*must be a sequence of integers, got int$"):
+        Preparation("V", 5)
+    with pytest.raises(CompileError, match="hologram"):
+        compile_bench(BenchFile(hologram=5))
+    with pytest.raises(TypeError, match="^probabilities must be a sequence of numbers, got float$"):
+        sample_counts(0.5, 10, 0)
+
+
+#: every exported callable or public method that takes a space, the space its one variable
+_BENCH = BenchFile(hologram=(2, -2), elements=(
+    QPlateStmt(Fraction(1)), HwpStmt(0.3, APERTURE_L0, 0.2), DoveStmt(), LensStmt()))
+SPACE_CALLS = {
+    "PhotonState": lambda space: PhotonState(space, _AMPLITUDES),
+    "ElementOp": lambda space: ElementOp(space, survival_factor=0.97),
+    "basis_state": lambda space: basis_state(space, "R", -2),
+    "qplate": lambda space: qplate(space, QPlateSpec(1)),
+    "hwp": lambda space: hwp(space, WaveplateSpec(0.3, APERTURE_L0, 0.2)),
+    "dove_prism": lambda space: dove_prism(space),
+    "lens": lambda space: lens(space),
+    "Preparation.initial_state": lambda space: Preparation("H", (1, -3)).initial_state(space),
+    "compile_bench": lambda space: compile_bench(_BENCH, space=space),
+    "prepare_input": lambda space: prepare_input(space),
+    "expected_output": lambda space: expected_output(space, "zcnot"),
+    "build_oracle": lambda space: build_oracle(space, "zcnot", eta=0.97, crosstalk=0.2),
+    "encode": lambda space: encode(space, (1, 0)),
+}
+#: what a caller may pass by mistake for a space; None is compile_bench's default
+_NOT_SPACES = (6, 6.0, None, "6", [6])
+
+
+def test_the_space_table_covers_every_space_parameter():
+    # a record that holds a space is an output, built from a checked one
+    taking = set()
+    for name, obj in _exported().items():
+        methods = vars(obj).items() if inspect.isclass(obj) else ()
+        for label, fn in [(name, obj)] + [(f"{name}.{m}", f) for m, f in methods
+                                          if callable(f) and not m.startswith("_")]:
+            if "space" in inspect.signature(fn).parameters:
+                taking.add(label)
+    assert taking - {"CompiledBench"} == set(SPACE_CALLS)
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{value!r}") for name in SPACE_CALLS
+    for value in _NOT_SPACES if not (name == "compile_bench" and value is None)])
+def test_a_wrong_space_raises_a_type_error_naming_it(name, value):
+    for _ in range(2):  # and again: nothing was cached
+        with pytest.raises(TypeError, match=r"^space must be a ModeSpace, got \w+$"):
+            SPACE_CALLS[name](value)
+
+
+@pytest.mark.parametrize("name", SPACE_CALLS)
+def test_a_space_built_directly_gives_the_memo_spaces_result(name):
+    built = SPACE_CALLS[name](ModeSpace(6))
+    assert _canonical(built) == _canonical(SPACE_CALLS[name](make_space(6)))
+    assert _canonical(SPACE_CALLS[name](ModeSpace(6))) == _canonical(built)

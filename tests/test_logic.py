@@ -2,6 +2,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import package_memos
 
 from spinorbit import (
     ElementOp,
@@ -23,8 +24,8 @@ from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
 from spinorbit.dsl import Preparation, compile_bench, parse
 from spinorbit.deutsch import run
 from spinorbit.errors import TruncationError
-from spinorbit.logic import _BIT_ORDER, LOGICAL_STATES, OracleBench, oracle_recipe
-from spinorbit.state import LEFT, MAX_L_MAX, RIGHT, make_space
+from spinorbit.logic import _BIT_ORDER, LOGICAL_STATES, OracleBench, _ket, oracle_recipe
+from spinorbit.state import LEFT, MAX_L_MAX, RIGHT, ModeSpace, make_space
 
 # the four defining rows of each oracle, (x, y) -> (x', y')
 EXPECTED_TABLES = {
@@ -321,3 +322,34 @@ def test_truth_table_reports_broken_gate(space):
     )
     with pytest.raises(GateBrokenError):
         truth_table(broken)
+
+
+# --- the encoded kets' memo ----------------------------------------------------------
+# each encoded ket depends only on the space and the bits, so it is built once per key
+
+
+def _kets(space):
+    return [encode(space, bits) for bits in _BIT_ORDER]
+
+
+@pytest.mark.parametrize("l_max", [4, 6, 64, 1000])
+def test_a_warm_memo_ket_equals_a_cold_build(l_max):
+    space = make_space(l_max)
+    _kets(space)
+    warm = _kets(space) + _kets(ModeSpace(l_max))  # every call hits
+    assert _ket.cache_info().hits == 8 and _ket.cache_info().currsize == 4
+    for memo in package_memos():
+        memo.cache_clear()
+    cold = _kets(make_space(l_max)) * 2
+    assert [(s.amplitudes.tobytes(), repr(s.survival)) for s in warm] == [
+        (s.amplitudes.tobytes(), repr(s.survival)) for s in cold]
+    assert not warm[0].amplitudes.flags.writeable
+
+
+def test_bad_bits_cache_nothing(space):
+    encode(space, (0, 0))
+    before = _ket.cache_info()
+    for _ in range(2):  # and raise again, checked before the lookup
+        with pytest.raises(EncodingError, match=r"got \(2, 0\)$"):
+            encode(space, (2, 0))
+    assert _ket.cache_info() == before and before.currsize == 1

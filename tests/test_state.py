@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import package_memos
 
 from spinorbit import (
     ElementOp,
@@ -21,11 +22,13 @@ from spinorbit.state import (
     LEFT,
     LINEAR_TO_CIRCULAR,
     MAX_L_MAX,
+    ModeSpace,
     PhotonState,
     RIGHT,
     V_CIRCULAR,
     _act,
     _norm,
+    _space,
 )
 
 
@@ -63,6 +66,41 @@ def test_make_space_rejects_l_max_above_cap_before_allocating():
 def test_make_space_rejects_non_integer():
     with pytest.raises(TypeError):
         make_space(6.0)
+
+
+# --- the truncation's memos ----------------------------------------------------------
+# make_space builds one space per l_max; deutsch and logic keep the states a space fixes
+
+
+def test_the_walk_finds_every_memo():
+    # conftest empties what this walk finds before each test; a new memo moves the count
+    names = sorted(f"{memo.__module__}.{memo.__qualname__}" for memo in package_memos())
+    assert names == [
+        "spinorbit.deutsch._expected", "spinorbit.deutsch._probe",
+        "spinorbit.elements._dove_op", "spinorbit.elements._hwp_op",
+        "spinorbit.elements._lens_op", "spinorbit.elements._qplate_op",
+        "spinorbit.logic._ket", "spinorbit.state._space",
+    ]
+
+
+@pytest.mark.parametrize("l_max", [4, 6, 64, 1000])
+def test_a_warm_memo_space_equals_a_cold_build(l_max):
+    cold = ModeSpace(l_max)
+    warm = [make_space(l_max) for _ in range(2)]
+    assert warm[1] is warm[0] and _space.cache_info().hits == 1
+    assert (warm[0], warm[0].n_oam, warm[0].dimension) == (cold, cold.n_oam, cold.dimension)
+    assert make_space(np.int64(l_max)) is warm[0]
+
+
+@pytest.mark.parametrize("l_max, error", [(3, TruncationError), (True, TypeError),
+                                          (MAX_L_MAX + 1, TruncationError)])
+def test_an_invalid_l_max_caches_nothing(l_max, error):
+    make_space(6)
+    before = _space.cache_info()
+    for _ in range(2):  # and raises again, checked before the lookup
+        with pytest.raises(error, match="l_max"):
+            make_space(l_max)
+    assert _space.cache_info() == before and before.currsize == 1
 
 
 def test_index_ordering_documented_formula(space):
