@@ -52,7 +52,6 @@ from .logic import (
     build_oracle,
     decode,
     encode,
-    encoded_restriction,
     logical_matrix,
     oracle_class,
     truth_table,

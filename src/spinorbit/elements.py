@@ -4,8 +4,7 @@ Every factory returns a structured `ElementOp` (see `state.ElementOp`): the
 q-plate (the identity plus one shifted slice per polarization half) and the
 Dove prism are index permutations of the mode vector, the waveplates repeat
 one or two distinct 2x2 polarization blocks over the OAM values, and the lens
-is the identity permutation.  None of them fills a dense dim x dim matrix; the
-`matrix` property builds that view only when a caller reads it.
+is the identity permutation.  None of them fills a dense dim x dim matrix.
 
 Each factory builds and checks its op once per exact input, in a private
 builder memoized with `functools.lru_cache` (at most `_MEMO_SIZE` ops each),

@@ -37,7 +37,6 @@ from .state import (
     ElementOp,
     ModeSpace,
     PhotonState,
-    _act,
     _is_int,
     _require_space,
     apply,
@@ -201,16 +200,3 @@ def logical_matrix(oracle_id: str) -> np.ndarray:
         i = _BIT_ORDER.index((x, y ^ f[x]))
         matrix[i, j] = 1.0
     return matrix
-
-
-def encoded_restriction(op: ElementOp) -> np.ndarray:
-    """4x4 restriction <enc_i| U |enc_j> of an operator to the encoded basis.
-
-    Column j is U applied to encoded ket j, read at the four encoded modes:
-    O(dim), with no dense matrix.
-    """
-    space = op.space
-    indices = [space.index(*LOGICAL_STATES[bits]) for bits in _BIT_ORDER]
-    kets = np.zeros((4, space.dimension), dtype=complex)
-    kets[range(4), indices] = 1.0
-    return np.column_stack([_act(op, ket)[indices] for ket in kets])

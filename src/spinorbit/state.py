@@ -52,9 +52,9 @@ POLARIZATIONS = (LEFT, RIGHT)
 #: smallest truncation that keeps the composite CNOT bench representable
 #: (its intermediate states reach OAM +/-4)
 MIN_L_MAX = 4
-#: largest truncation: dim is then 4002.  An element holds O(dim) numbers and a
-#: `compose` result only its factors; only reading `ElementOp.matrix` takes a
-#: dense dim x dim array, 16 * 4002**2 B, about 256 MB
+#: largest truncation: dim is then 4002.  Every op, state and memo entry is
+#: O(dim) (an element holds one index array and at most n_oam 2x2 blocks, a
+#: `compose` result only its factors), so the cap bounds each of them
 MAX_L_MAX = 1000
 #: truncation used when a bench or a run names none
 DEFAULT_L_MAX = 6
@@ -73,9 +73,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: |H> and |V> written in circular (L, R) coordinates
 H_CIRCULAR = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
 V_CIRCULAR = np.array([-1j * _INV_SQRT2, 1j * _INV_SQRT2], dtype=complex)
-
-#: change of basis taking (H, V) coordinates to (L, R) coordinates
-LINEAR_TO_CIRCULAR = np.column_stack((H_CIRCULAR, V_CIRCULAR))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -129,9 +126,6 @@ class ModeSpace:
         object.__setattr__(self, "l_max", _check_l_max(self.l_max))
         object.__setattr__(self, "n_oam", 2 * self.l_max + 1)
         object.__setattr__(self, "dimension", 2 * self.n_oam)
-
-    def oam_values(self) -> range:
-        return range(-self.l_max, self.l_max + 1)
 
     def contains(self, l: int) -> bool:
         return -self.l_max <= l <= self.l_max
@@ -227,13 +221,9 @@ def basis_state(space: ModeSpace, pol: str, l: int) -> PhotonState:
     return PhotonState(space, amps)
 
 
-UNITARY = "unitary"
-LOSSY = "lossy"
-
-
 class ElementOp:
-    """Operator on the mode space, lossy iff `survival_factor` < 1: structured
-    factors, applied in turn.
+    """Operator on the mode space: structured factors, applied in turn, and a
+    heralded `survival_factor` in (0, 1].
 
     A factory builds one factor, ``ElementOp(space, source=..., blocks=...)``:
     U = B P.  The gather P is out[i] = in[source[i]]; `source` (copied) is
@@ -245,8 +235,7 @@ class ElementOp:
     `compose` builds an op whose `factors` are its elements' factors; it has no
     `source`, `blocks` or `input_mask` of its own.
 
-    `matrix` is a read-only dense view, built on first use.  The matrix is
-    unitary; a lossy element additionally carries survival_factor < 1.
+    Every factor is unitary; loss is only `survival_factor` < 1.
     `input_mask`, when present, marks the basis states the element is defined
     on: applying it to a state with amplitude on an unmasked
     (edge-of-truncation) mode, listed once at construction, raises
@@ -315,11 +304,9 @@ class ElementOp:
             raise ValueError(f"survival_factor must lie in (0, 1], got {survival_factor!r}")
         init = object.__setattr__
         init(self, "space", space)
-        init(self, "kind", LOSSY if survival_factor < 1.0 else UNITARY)
         init(self, "survival_factor", survival_factor)
         init(self, "label", label)
         init(self, "_factors", factors)
-        init(self, "_matrix", None)
 
     def _set_arrays(self, source, blocks, input_mask) -> None:
         init = object.__setattr__
@@ -344,18 +331,6 @@ class ElementOp:
         """The structured ops applied in turn: a composite's, or this op alone."""
         return self._factors or (self,)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense dim x dim matrix (read-only; built on first use): `_act` on the identity."""
-        if self._matrix is None:
-            dense = _act(self, np.eye(self.space.dimension, dtype=complex))
-            object.__setattr__(self, "_matrix", _frozen(dense))
-        return self._matrix
-
-    @property
-    def is_lossy(self) -> bool:
-        return self.kind == LOSSY
-
 
 def _blocks_deviation(blocks: list) -> float:
     """max |B+B - I| over 2x2 blocks given as nested lists; NaN if an entry is."""
@@ -368,20 +343,19 @@ def _blocks_deviation(blocks: list) -> float:
     return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
-def _act(op: ElementOp, vector: np.ndarray, guarded: bool = False) -> np.ndarray:
-    """U @ vector, for one vector or each column of a (dim, m) array.
+def _act(op: ElementOp, vector: np.ndarray) -> np.ndarray:
+    """U @ vector, for one amplitude vector.
 
-    Each factor in turn gathers, then mixes each (L, R) pair with its 2x2
-    block: the mode axis reshaped to (2, n_oam) is (pol, l + l_max), the
-    README order.  Each factor's guard is checked first only if `guarded`.
+    Each factor in turn checks its guard, gathers, then mixes each (L, R) pair
+    with its 2x2 block: the vector reshaped to (2, n_oam) is (pol, l + l_max),
+    the README order.
     """
     for factor in op.factors:
-        if guarded:
-            _check_guard(factor, vector)
+        _check_guard(factor, vector)
         vector = vector[factor.source]
         if factor.blocks is not None:
-            pairs = vector.reshape((2, op.space.n_oam) + vector.shape[1:])
-            vector = np.einsum("kpq,qk...->pk...", factor.blocks, pairs).reshape(vector.shape)
+            pairs = vector.reshape(2, op.space.n_oam)
+            vector = np.einsum("kpq,qk->pk", factor.blocks, pairs).reshape(vector.shape)
     return vector
 
 
@@ -407,7 +381,7 @@ def apply(op: ElementOp, state: PhotonState) -> PhotonState:
             f"dimension mismatch: operator is {op.space.dimension}, state is "
             f"{state.space.dimension}"
         )
-    amps = _act(op, state.amplitudes, guarded=True)
+    amps = _act(op, state.amplitudes)
     return PhotonState(state.space, amps, survival=state.survival * op.survival_factor)
 
 
@@ -425,7 +399,7 @@ def fidelity_up_to_phase(a: PhotonState, b: PhotonState) -> float:
 
 
 def compose(ops: Sequence[ElementOp]) -> ElementOp:
-    """Chain elements in application order (last element's matrix leftmost).
+    """Chain elements in application order (last element's operator leftmost).
 
     Nothing is multiplied out: the result holds the elements' factors, nested
     composites flattened, and `apply` runs them in turn, checking each

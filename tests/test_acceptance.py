@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 
 from benchgen import random_bench
+from dense import dense
 from spinorbit import (
     CompileError,
     ORACLE_IDS,
@@ -156,8 +157,8 @@ def test_criterion_06_operator_hygiene():
         lens(SPACE),
     ]
     unitarity = max(
-        float(np.abs(op.matrix.conj().T @ op.matrix - identity).max())
-        for op in factory_grid
+        float(np.abs(matrix.conj().T @ matrix - identity).max())
+        for matrix in map(dense, factory_grid)
     )
 
     qp = qplate(SPACE, QPlateSpec(1))
@@ -169,17 +170,18 @@ def test_criterion_06_operator_hygiene():
             out = apply_chain([qp, qp], basis_state(SPACE, pol, l))
             double_error = max(double_error, abs(out.amplitude(pol, l) - 1.0))
 
-    dove = dove_prism(SPACE)
-    full = hwp(SPACE, WaveplateSpec(0.0))
+    dove = dense(dove_prism(SPACE))
+    full = dense(hwp(SPACE, WaveplateSpec(0.0)))
     involution_error = max(
-        float(np.abs(dove.matrix @ dove.matrix - identity).max()),
-        float(np.abs(full.matrix @ full.matrix - identity).max()),
+        float(np.abs(dove @ dove - identity).max()),
+        float(np.abs(full @ full - identity).max()),
     )
 
     spin = {LEFT: 1, RIGHT: -1}
     conservation_ok = True
+    qp_matrix = dense(qp)
     for j in range(SPACE.dimension):
-        column = qp.matrix[:, j]
+        column = qp_matrix[:, j]
         i = int(np.argmax(np.abs(column)))
         pol_in, l_in = SPACE.basis_label(j)
         pol_out, l_out = SPACE.basis_label(i)

@@ -133,14 +133,14 @@ def _bytes(array):
 
 
 def outcome(compile_ops, bench):
-    """(exception type, text), or each op's label, kind, survival and arrays."""
+    """(exception type, text), or each op's label, loss, survival and arrays."""
     try:
         ops = compile_ops(bench)
     except Exception as exc:  # the type is part of what is compared
         return type(exc), str(exc)
     return tuple(
-        (op.label, op.kind, op.survival_factor, _bytes(op.source), _bytes(op.blocks),
-         _bytes(op.input_mask))
+        (op.label, op.survival_factor < 1, op.survival_factor, _bytes(op.source),
+         _bytes(op.blocks), _bytes(op.input_mask))
         for op in ops
     )
 

@@ -3,11 +3,12 @@ the elements one at a time.
 
 `dense_compose` below is the dense loop `compose` once ran: a dim x dim
 running matrix, each element applied to its columns by the structured
-gather and per-l `einsum`, and the guard mask summed over the blocked rows.
-`compose` now multiplies nothing out: it holds its elements' factors, and
-`apply` runs them in turn, so it must act as `apply` of each element in
-turn does, errors included, while its `matrix` view keeps the dense loop's
-bytes.  `apply_chain` is `apply` of the composite.
+gather and per-l `einsum` (`dense.dense_act`), and the guard mask summed over
+the blocked rows.  `compose` now multiplies nothing out: it holds its
+elements' factors, and `apply` runs them in turn, so it must act as `apply`
+of each element in turn does, errors included, while its dense view
+(`dense.dense`) keeps the dense loop's bytes.  `apply_chain` is `apply` of the
+composite.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from benchgen import random_bench
+from dense import dense, dense_act
 from spinorbit import (
     ORACLE_IDS,
     TruncationError,
@@ -27,28 +29,19 @@ from spinorbit import (
     build_oracle,
     compile_bench,
     compose,
-    encoded_restriction,
     make_space,
     prepare_input,
+    run,
     truth_table,
 )
 from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
-from spinorbit.state import GUARD_TOL, LOSSY, UNITARY, PhotonState
+from spinorbit.state import GUARD_TOL, PhotonState
 
 # --- dense reference -------------------------------------------------------------
 
 
-def dense_act(op, matrix):
-    """U @ matrix, by the structured gather and per-l einsum over all columns."""
-    out = matrix[op.source]
-    if op.blocks is not None:
-        pairs = out.reshape(2, op.space.n_oam, matrix.shape[1])
-        out = np.einsum("kpq,qk...->pk...", op.blocks, pairs).reshape(matrix.shape)
-    return out
-
-
 def dense_compose(ops):
-    """(matrix, input mask or None, survival, kind, label) of the dense loop."""
+    """(matrix, input mask or None, survival, lossy, label) of the dense loop."""
     dim = ops[0].space.dimension
     total = np.eye(dim, dtype=complex)
     mask = np.ones(dim, dtype=bool)
@@ -60,17 +53,19 @@ def dense_compose(ops):
     survival = 1.0
     for op in ops:
         survival *= op.survival_factor
-    kind = LOSSY if any(op.is_lossy for op in ops) else UNITARY
+    lossy = any(op.survival_factor < 1.0 for op in ops)
     label = " -> ".join(op.label or "element" for op in ops)
-    return total, None if mask.all() else mask, survival, kind, label
+    return total, None if mask.all() else mask, survival, lossy, label
 
 
 def assert_same_bytes(composed, reference):
-    matrix, _, survival, kind, label = reference
-    assert composed.matrix.tobytes() == matrix.tobytes()
+    matrix, _, survival, lossy, label = reference
+    assert dense(composed).tobytes() == matrix.tobytes()
     # a composite has no mask of its own: each factor checks its guard
     assert composed.input_mask is None and composed.source is None
-    assert (composed.survival_factor, composed.kind, composed.label) == (survival, kind, label)
+    assert (composed.survival_factor, composed.survival_factor < 1.0, composed.label) == (
+        survival, lossy, label
+    )
 
 
 def outcome(fn):
@@ -120,14 +115,15 @@ def test_nested_composites_flatten_into_their_factors():
     composed = compose(chain)
     flat = [u, chain[1], *cnot, u]
     assert [f.label for f in composed.factors] == [op.label for op in flat]
-    assert composed.matrix.tobytes() == dense_compose(flat)[0].tobytes()
+    assert dense(composed).tobytes() == dense_compose(flat)[0].tobytes()
     # the nested composite's label is its own elements' labels, joined
     assert composed.label == " -> ".join(op.label for op in flat)
     assert composed.survival_factor == 0.97 * 0.97
     # a composite composed again
     twice = compose([compose(cnot), compose(cnot)])
     assert len(twice.factors) == 2 * len(cnot)
-    assert np.abs(twice.matrix - compose(cnot).matrix @ compose(cnot).matrix).max() <= 1e-15
+    once = dense(compose(cnot))
+    assert np.abs(dense(twice) - once @ once).max() <= 1e-15
 
 
 # --- against the element-by-element loop -------------------------------------------
@@ -198,7 +194,7 @@ def test_compose_at_the_largest_truncation_holds_no_dense_matrix():
     for call in (
         lambda: compose(bench.elements),
         lambda: truth_table(bench),
-        lambda: encoded_restriction(compose(bench.elements)),
+        lambda: run("zcnot", l_max=1000, crosstalk=0.3),
     ):
         tracemalloc.start()
         try:
@@ -218,13 +214,13 @@ def test_apply_of_a_composite_matches_its_matrix(l_max):
     for oracle_id in ORACLE_IDS:
         elements = build_oracle(space, oracle_id, eta=0.97, crosstalk=0.3).elements
         composed = compose(elements)
-        _, mask, _, _, _ = dense_compose(elements)
+        matrix, mask = dense(composed), dense_compose(elements)[1]
         for _ in range(5):
             amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
             if mask is not None:
                 amps[~mask] = 0.0
             state = PhotonState(space, amps / np.linalg.norm(amps))
             out = apply(composed, state)
-            expected = composed.matrix @ state.amplitudes
+            expected = matrix @ state.amplitudes
             assert np.abs(out.amplitudes - expected / np.linalg.norm(expected)).max() <= 1e-15
             assert out.survival == composed.survival_factor == math.prod([0.97, 0.97])

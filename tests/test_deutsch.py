@@ -87,7 +87,7 @@ def measure_pbs_loop(state):
     """The per-l loop `measure_pbs` replaced: the bit-exact reference."""
     p_h = 0.0
     p_v = 0.0
-    for l in state.space.oam_values():
+    for l in range(-state.space.l_max, state.space.l_max + 1):
         pair = np.array(
             [state.amplitudes[state.space.index(LEFT, l)],
              state.amplitudes[state.space.index(RIGHT, l)]]

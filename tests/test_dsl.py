@@ -5,6 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from dense import dense
 from hypothesis import given, settings, strategies as st
 
 from spinorbit import (
@@ -368,7 +369,7 @@ def test_compile_determinism():
     a = compile_bench(parse(text))
     b = compile_bench(parse(text))
     for op_a, op_b in zip(a.elements, b.elements):
-        assert np.array_equal(op_a.matrix, op_b.matrix)
+        assert np.array_equal(dense(op_a), dense(op_b))
 
 
 def test_prepared_state_matches_runner_input():

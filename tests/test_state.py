@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import package_memos
+from dense import dense
 
 from spinorbit import (
     ElementOp,
@@ -20,7 +21,6 @@ from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
 from spinorbit.state import (
     H_CIRCULAR,
     LEFT,
-    LINEAR_TO_CIRCULAR,
     MAX_L_MAX,
     ModeSpace,
     PhotonState,
@@ -106,7 +106,7 @@ def test_an_invalid_l_max_caches_nothing(l_max, error):
 def test_index_ordering_documented_formula(space):
     n_oam = 2 * space.l_max + 1
     for pol_index, pol in enumerate((LEFT, RIGHT)):
-        for l in space.oam_values():
+        for l in range(-space.l_max, space.l_max + 1):
             assert space.index(pol, l) == pol_index * n_oam + (l + space.l_max)
     labels = {space.basis_label(i) for i in range(space.dimension)}
     assert len(labels) == space.dimension
@@ -152,7 +152,8 @@ def test_polarization_convention_identities():
 
 
 def test_linear_to_circular_is_unitary():
-    t = LINEAR_TO_CIRCULAR
+    # the change of basis taking (H, V) coordinates to (L, R) coordinates
+    t = np.column_stack((H_CIRCULAR, V_CIRCULAR))
     assert np.abs(t.conj().T @ t - np.eye(2)).max() <= 1e-15
 
 
@@ -208,8 +209,8 @@ def test_compose_u_udagger_is_identity(space):
     # U = B on the identity gather, so U+ is the blocks' conjugate transposes
     u_dag = ElementOp(space, blocks=u.blocks.conj().transpose(0, 2, 1), label="hwp+")
     combined = compose([u, u_dag])
-    assert np.abs(combined.matrix - np.eye(space.dimension)).max() <= 1e-12
-    assert not combined.is_lossy
+    assert np.abs(dense(combined) - np.eye(space.dimension)).max() <= 1e-12
+    assert combined.survival_factor == 1.0
 
 
 def test_compose_empty_rejected():
@@ -221,7 +222,7 @@ def test_compose_order_last_leftmost(space):
     qp = qplate(space, QPlateSpec(1))
     wp = hwp(space, WaveplateSpec(0.0))
     combined = compose([qp, wp])
-    assert np.abs(combined.matrix - wp.matrix @ qp.matrix).max() == 0.0
+    assert np.abs(dense(combined) - dense(wp) @ dense(qp)).max() == 0.0
 
 
 def test_compose_double_qplate_identity_on_safe_modes(space):
@@ -411,7 +412,7 @@ def test_element_op_copies_the_callers_source(space):
 def test_element_op_without_source_takes_the_identity_gather(space):
     op = ElementOp(space, label="id")
     assert np.array_equal(op.source, np.arange(space.dimension)) and op.blocks is None
-    assert np.array_equal(op.matrix, np.eye(space.dimension))
+    assert np.array_equal(dense(op), np.eye(space.dimension))
     # there is no dense form: a matrix is not an argument
     with pytest.raises(TypeError):
         ElementOp(space, np.eye(space.dimension, dtype=complex))
@@ -426,7 +427,7 @@ def test_structured_op_matches_its_dense_view(space):
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     state = PhotonState(space, amps / np.linalg.norm(amps))
     out = apply(op, state)
-    assert np.abs(out.amplitudes - op.matrix @ state.amplitudes).max() <= 1e-15
+    assert np.abs(out.amplitudes - dense(op) @ state.amplitudes).max() <= 1e-15
     with pytest.raises(AttributeError):
         op.label = "renamed"
 
@@ -439,18 +440,17 @@ def test_element_op_rejects_survival_factor_outside_unit_interval(space, factor)
         ElementOp(space, source=np.arange(space.dimension), survival_factor=factor)
 
 
-def test_element_op_kind_follows_survival_factor(space):
-    lossy = ElementOp(space, survival_factor=0.97)
-    unitary = ElementOp(space, survival_factor=1.0)
-    assert (lossy.kind, lossy.is_lossy) == ("lossy", True)
-    assert (unitary.kind, unitary.is_lossy) == ("unitary", False)
-    assert qplate(space, QPlateSpec(1, 0.97)).is_lossy
-    assert not qplate(space, QPlateSpec(1, 1.0)).is_lossy
+def test_loss_is_a_survival_factor_below_one(space):
+    # an op takes no separate loss label: it is lossy iff survival_factor < 1
+    assert ElementOp(space, survival_factor=0.97).survival_factor < 1.0
+    assert not ElementOp(space, survival_factor=1.0).survival_factor < 1.0
+    assert qplate(space, QPlateSpec(1, 0.97)).survival_factor < 1.0
+    assert not qplate(space, QPlateSpec(1, 1.0)).survival_factor < 1.0
+    assert not any(hasattr(ElementOp(space), name) for name in ("kind", "is_lossy"))
     # a product is lossy iff some factor is below 1
     for factors in ([1.0, 1.0], [1.0, 0.97], [0.97, 1.0], [0.97, 0.97]):
         composed = compose([ElementOp(space, survival_factor=f) for f in factors])
-        assert composed.is_lossy == any(f < 1.0 for f in factors)
-        assert composed.kind == ("lossy" if composed.is_lossy else "unitary")
+        assert (composed.survival_factor < 1.0) == any(f < 1.0 for f in factors)
 
 
 def test_states_and_operators_are_readonly(space):
@@ -459,4 +459,8 @@ def test_states_and_operators_are_readonly(space):
         state.amplitudes[0] = 0.0
     op = qplate(space, QPlateSpec(1))
     with pytest.raises(ValueError):
-        op.matrix[0, 0] = 5.0
+        op.source[0] = 5
+    with pytest.raises(ValueError):
+        op.input_mask[0] = False
+    with pytest.raises(ValueError):
+        hwp(space, WaveplateSpec(0.3)).blocks[0, 0, 0] = 5.0
