@@ -100,8 +100,7 @@ def _verify_report(report: deutsch.RunReport) -> list[str]:
         failures.append(f"{report.oracle_id}: p_D1 + p_D2 != 1")
     expected_verdict = deutsch.classify(
         *( (report.p_d1, report.p_d2) if report.measurement == deutsch.PBS
-           else (report.p_minus, report.p_plus) ),
-        report.threshold,
+           else (report.p_minus, report.p_plus) )
     )
     if report.verdict != expected_verdict:
         failures.append(f"{report.oracle_id}: verdict inconsistent with probabilities")
@@ -282,7 +281,7 @@ def cmd_bench_run(args) -> int:
     output = apply_chain(compiled.elements, initial)
     amplitudes = [
         {"pol": pol, "l": l, "re": amp.real, "im": amp.imag}
-        for pol, l, amp in output.components(tol=1e-12)
+        for pol, l, amp in output.components()
     ]
     dominant = max(amplitudes, key=lambda a: a["re"] ** 2 + a["im"] ** 2, default=None)
     measurement = None

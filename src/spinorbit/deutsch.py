@@ -53,7 +53,8 @@ MEASUREMENTS = (PBS, OAM_SORTER)
 
 INCONCLUSIVE = "inconclusive"
 
-DEFAULT_THRESHOLD = 0.99
+#: the verdict rule: a port whose probability is above this gives its verdict
+THRESHOLD = 0.99
 
 #: most shots one draw can tally: numpy's multinomial counts in int64
 MAX_SHOTS = 2**63 - 1
@@ -141,27 +142,18 @@ def measure_oam_superposition(state: PhotonState) -> OamSorterProbs:
     return OamSorterProbs(p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus))
 
 
-def _check_threshold(threshold: float) -> None:
-    _require_numbers(threshold=threshold)
-    # below 0.5 both ports could pass; at 1 no port ever can
-    if not 0.5 <= threshold < 1.0:
-        raise ValueError(f"threshold must lie in [0.5, 1), got {threshold!r}")
-
-
-def classify(
-    p_balanced_port: float, p_constant_port: float, threshold: float = DEFAULT_THRESHOLD
-) -> str:
-    """Verdict from the two detector probabilities (conditioned on survival)."""
-    _check_threshold(threshold)
+def classify(p_balanced_port: float, p_constant_port: float) -> str:
+    """Verdict from the two detector probabilities (conditioned on survival): the
+    port above `THRESHOLD`, else inconclusive."""
     _require_numbers(p_balanced_port=p_balanced_port, p_constant_port=p_constant_port)
     for name, p in (("p_balanced_port", p_balanced_port), ("p_constant_port", p_constant_port)):
         # written so that NaN fails too; a sum of squares of a unit vector's
         # parts can pass 1 by a few ulp, and no more
         if not 0.0 <= p <= 1.0 + 1e-12:
             raise ValueError(f"{name} must be a probability in [0, 1], got {p!r}")
-    if p_constant_port > threshold:
+    if p_constant_port > THRESHOLD:
         return CONSTANT
-    if p_balanced_port > threshold:
+    if p_balanced_port > THRESHOLD:
         return BALANCED
     return INCONCLUSIVE
 
@@ -204,7 +196,6 @@ class RunReport:
     survival: float
     verdict: str
     output_fidelity: float
-    threshold: float = DEFAULT_THRESHOLD
     shots: ShotTally | None = None
 
     def to_dict(self) -> dict:
@@ -221,7 +212,7 @@ class RunReport:
             "survival": self.survival,
             "verdict": self.verdict,
             "output_fidelity": self.output_fidelity,
-            "threshold": self.threshold,
+            "threshold": THRESHOLD,
             "shots": None if self.shots is None else self.shots.to_dict(),
         }
 
@@ -274,14 +265,12 @@ def run(
     seed: int = 0,
     l_max: int = DEFAULT_L_MAX,
     measurement: str = PBS,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> RunReport:
     """Prepare, run one oracle bench, measure, classify, optionally sample clicks."""
     # every argument is checked before make_space checks l_max; seed even without shots
     _oracle_function(oracle_id)
     if measurement not in MEASUREMENTS:
         raise ValueError(f"measurement must be one of {MEASUREMENTS}")
-    _check_threshold(threshold)
     n_shots, seed = _shots_and_seed(0 if shots is None else shots, seed)
     _check_eta_and_crosstalk(eta, crosstalk)
     space = make_space(l_max)
@@ -300,7 +289,7 @@ def run(
         outcomes = (p_d1, p_d2)
     else:
         outcomes = (sorter.p_minus, sorter.p_plus, sorter.residual)
-    verdict = classify(*outcomes[:2], threshold)
+    verdict = classify(*outcomes[:2])
 
     tally = None
     if shots is not None:
@@ -320,6 +309,5 @@ def run(
         survival=output.survival,
         verdict=verdict,
         output_fidelity=fidelity,
-        threshold=float(threshold),
         shots=tally,
     )

@@ -403,22 +403,19 @@ def _build_element(space: ModeSpace, label: str, factory, spec) -> ElementOp:
     return factory(space, label=label) if spec is None else factory(space, spec, label=label)
 
 
-def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledBench:
-    """Semantic validation plus construction of the executable chain.
+def compile_bench(bench: BenchFile) -> CompiledBench:
+    """Semantic validation plus construction of the executable chain, on the
+    truncation of the bench's `space lmax=` line (`DEFAULT_L_MAX` without one).
 
     An occupied mode leaves the truncation at an element whose input mask
     excludes it, or that moves it beyond `l_max` (below the space's l_max only
     under the `MIN_L_MAX` floor).  Only a q-plate moves l, by its shift.
     """
-    if space is not None:
-        _require_space(space)
     if len(bench.elements) > MAX_ELEMENTS:
         raise CompileError(
             f"bench has {len(bench.elements)} elements; the limit is {MAX_ELEMENTS}"
         )
-    l_max = space.l_max if space is not None else (
-        bench.l_max if bench.l_max is not None else DEFAULT_L_MAX
-    )
+    l_max = bench.l_max if bench.l_max is not None else DEFAULT_L_MAX
     try:
         l_max = _require_int("l_max", l_max)
         prep = Preparation(
@@ -441,7 +438,7 @@ def compile_bench(bench: BenchFile, space: ModeSpace | None = None) -> CompiledB
             raise CompileError(f"{_element_name(index, stmt)}: {exc}") from exc
     # an l_max above the cap fails here; one below the floor is checked on the
     # smallest space, where images beyond l_max leave too, then fails on the floor
-    mode_space = space if space is not None else make_space(max(l_max, MIN_L_MAX))
+    mode_space = make_space(max(l_max, MIN_L_MAX))
     n = mode_space.n_oam
     occupied = np.zeros((2, n), dtype=bool)
     occupied[:, np.add(prep.oams, mode_space.l_max)] = True

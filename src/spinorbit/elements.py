@@ -235,7 +235,3 @@ def lens(space: ModeSpace, label: str = "lens") -> ElementOp:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _lens_op(space: ModeSpace) -> ElementOp:
     return ElementOp(space, label="lens")
-
-
-#: the memoized builders; a test that needs a cold build empties them
-_BUILDERS = (_qplate_op, _hwp_op, _dove_op, _lens_op)

@@ -118,11 +118,10 @@ def _decode_with_phase(state: PhotonState) -> tuple[tuple[int, int], complex]:
 
 @dataclass(frozen=True, eq=False)
 class OracleBench:
-    """Ordered element chain realizing one oracle, plus its insertion record."""
+    """Ordered element chain realizing one oracle."""
 
     oracle_id: str
     elements: tuple[ElementOp, ...]
-    inserted: frozenset[str]
 
 
 #: each oracle's element labels in physical order
@@ -160,8 +159,7 @@ def build_oracle(
             id(stmt), dsl._build_element(space, label, *dsl._element_spec(stmt))))
     # only cnot and zcnot insert HWP1, the plate with crosstalk; all four check it
     _check_eta_and_crosstalk(crosstalk=crosstalk)
-    inserted = frozenset(ORACLE_CHAINS[oracle_id]) - frozenset(ORACLE_CHAINS["identity"])
-    return OracleBench(oracle_id, tuple(chain), inserted)
+    return OracleBench(oracle_id, tuple(chain))
 
 
 def truth_table(

@@ -60,8 +60,8 @@ MAX_L_MAX = 1000
 DEFAULT_L_MAX = 6
 
 UNITARITY_TOL = 1e-12
-#: amplitude magnitude above which a guarded (edge-of-truncation) mode counts
-#: as occupied
+#: amplitude magnitude above which a mode counts as occupied: by the guard of an
+#: edge-of-truncation mode, and in `PhotonState.components`
 GUARD_TOL = 1e-12
 
 #: entries per memo of ops or states.  At l_max 1000 a state holds 4002
@@ -201,10 +201,10 @@ class PhotonState:
     def amplitude(self, pol: str, l: int) -> complex:
         return complex(self.amplitudes[self.space.index(pol, l)])
 
-    def components(self, tol: float = 1e-12) -> Iterator[tuple[str, int, complex]]:
-        """Yield (pol, l, amplitude) for every component above `tol`."""
+    def components(self) -> Iterator[tuple[str, int, complex]]:
+        """Yield (pol, l, amplitude) for every component above `GUARD_TOL`."""
         for i, a in enumerate(self.amplitudes):
-            if abs(a) > tol:
+            if abs(a) > GUARD_TOL:
                 pol, l = self.space.basis_label(i)
                 yield pol, l, complex(a)
 
@@ -265,7 +265,7 @@ class ElementOp:
             or np.count_nonzero(np.bincount(src, minlength=dim)) < dim
         ):
             raise ValueError(
-                f"matrix for {label or 'element'} is not unitary (source is "
+                f"{label or 'element'} is not unitary (source is "
                 f"not a permutation of range({dim}))"
             )
         if blocks is not None:
@@ -319,7 +319,7 @@ class ElementOp:
         # written so that a NaN deviation fails too
         if not deviation <= UNITARITY_TOL:
             raise ValueError(
-                f"matrix for {self.label or 'element'} is not unitary "
+                f"{self.label or 'element'} is not unitary "
                 f"(max |U+U - I| = {deviation:.3e})"
             )
 

@@ -18,6 +18,11 @@ def package_memos():
     return list(memos.values())
 
 
+def element_builders():
+    """The memos of the element builders: `elements._qplate_op` and its three siblings."""
+    return [memo for memo in package_memos() if memo.__module__ == "spinorbit.elements"]
+
+
 @pytest.fixture(autouse=True)
 def _cold_memos():
     """Each test starts with every memo of the package empty, so none sees an op or

@@ -229,12 +229,14 @@ def test_classify_thresholds():
     assert classify(0.005, 0.995) == CONSTANT
     assert classify(0.995, 0.005) == BALANCED
     assert classify(0.985, 0.015) == INCONCLUSIVE
-    assert classify(0.985, 0.015, threshold=0.98) == BALANCED
-    for threshold in (0.2, 1.0, float("nan")):
-        with pytest.raises(ValueError, match="threshold"):
-            classify(0.5, 0.5, threshold)
-        with pytest.raises(ValueError, match="threshold"):
-            run("identity", threshold=threshold)
+    # the fixed rule: a port must pass 0.99, and the next double above it does
+    assert deutsch.THRESHOLD == 0.99
+    above = math.nextafter(0.99, 1.0)
+    assert classify(0.01, 0.99) == classify(0.99, 0.01) == INCONCLUSIVE
+    assert classify(1.0 - above, above) == CONSTANT
+    assert classify(above, 1.0 - above) == BALANCED
+    # and a report writes the rule it used
+    assert run("identity").to_dict()["threshold"] == 0.99
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-9, 1.0 + 1e-9, 2.0, math.inf])
@@ -422,8 +424,7 @@ def test_reports_hold_python_scalars():
     assert json.dumps(run("identity", shots=np.int64(5), seed=np.int64(3)).to_dict()) == want
     for measurement in (PBS, OAM_SORTER):
         report = run("cnot", eta=np.float64(0.97), crosstalk=np.float64(0.3), l_max=np.int64(6),
-                     shots=np.int64(100), seed=np.int64(1), measurement=measurement,
-                     threshold=np.float64(0.9))
+                     shots=np.int64(100), seed=np.int64(1), measurement=measurement)
         numbers = [v for v in _leaves(report.to_dict()) if not isinstance(v, (str, type(None)))]
         assert {type(v) for v in numbers} == {int, float}, numbers
     # the sorter's residual is a float like its siblings, also from the default call

@@ -16,6 +16,7 @@ from spinorbit import (
     apply_chain,
     compile_bench,
     fidelity_up_to_phase,
+    make_space,
     measure_oam_superposition,
     measure_pbs,
     parse,
@@ -25,6 +26,7 @@ from spinorbit import (
 )
 from spinorbit import dsl, elements as el
 from spinorbit.dsl import DoveStmt, HwpStmt, LensStmt, Preparation, QPlateStmt
+from spinorbit.state import DEFAULT_L_MAX
 
 CORPUS = ["identity.bench", "not.bench", "cnot.bench", "zcnot.bench", "fig2_cnot_gate.bench"]
 
@@ -387,9 +389,12 @@ def test_preparation_uniform_hologram_weights(space):
         assert abs(abs(state.amplitude("L", l)) - weight) <= 1e-15
 
 
-def test_compile_honours_explicit_space(space):
-    compiled = compile_bench(parse("space lmax=4\nlens\n"), space=space)
-    assert compiled.space.l_max == 6
+def test_compile_honours_explicit_space():
+    # the bench's own `space` line sets the truncation; without one it is the default
+    for l_max in (4, 6, 64):
+        compiled = compile_bench(parse(f"space lmax={l_max}\nlens\n"))
+        assert compiled.space is make_space(l_max)
+    assert compile_bench(parse("lens\n")).space is make_space(DEFAULT_L_MAX)
 
 
 # --- fuzzing the text pipeline ---------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import element_builders
 from dense import dense
 from hypothesis import given, strategies as st
 
@@ -404,7 +405,7 @@ def test_every_factory_output_is_unitary(space, factory):
 
 
 def _cold(build):
-    for builder in elements._BUILDERS:
+    for builder in element_builders():
         builder.cache_clear()
     return build()
 
@@ -458,11 +459,11 @@ def test_the_memo_keeps_at_most_maxsize_entries():
     for k in range(maxsize + 8):
         hwp(space, WaveplateSpec(0.01 * k))
     assert elements._hwp_op.cache_info().currsize == maxsize
-    assert all(builder.cache_info().maxsize == maxsize for builder in elements._BUILDERS)
+    assert all(builder.cache_info().maxsize == maxsize for builder in element_builders())
 
 
 def _memo_sizes():
-    return [builder.cache_info().currsize for builder in elements._BUILDERS]
+    return [builder.cache_info().currsize for builder in element_builders()]
 
 
 def test_a_factory_that_raises_caches_nothing(space4, monkeypatch):

@@ -15,7 +15,6 @@ import inspect
 import math
 import re
 import warnings
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,7 +52,6 @@ from spinorbit import (
     run,
     sample_counts,
 )
-from spinorbit.dsl import DoveStmt, HwpStmt, LensStmt, QPlateStmt
 from spinorbit.elements import APERTURE_L0
 
 SPACE = make_space(6)
@@ -79,13 +77,11 @@ TABLE = (
     ("encode", "bits", "bits"),
     ("classify", "p_balanced_port", "unit"),
     ("classify", "p_constant_port", "unit"),
-    ("classify", "threshold", "threshold"),
     ("run", "eta", "efficiency"),
     ("run", "crosstalk", "unit"),
     ("run", "shots", "shots"),
     ("run", "seed", "seed"),
     ("run", "l_max", "l_max"),
-    ("run", "threshold", "threshold"),
     ("sample_counts", "probabilities", "weights"),
     ("sample_counts", "shots", "shots"),
     ("sample_counts", "seed", "seed"),
@@ -172,10 +168,6 @@ KINDS = {
     "efficiency": Kind(st.floats(0.0, 1.0, exclude_min=True),
                        _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, *_BEYOND_FLOAT, 0.0,
                             more=(_NEGATIVE, _ABOVE_1))),
-    # in [0.5, 1)
-    "threshold": Kind(st.floats(0.5, 1.0, exclude_max=True),
-                      _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, *_BEYOND_FLOAT, 0.49, 1.0,
-                           more=(_NEGATIVE,))),
     # any finite angle whose double is finite: a negative angle is valid
     "angle": Kind(st.floats(-10.0, 10.0),
                   _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, *_BEYOND_FLOAT)),
@@ -329,8 +321,6 @@ def test_each_input_has_one_rule():
     # run checks every argument before it builds, the seed also without shots
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
         run("identity", seed=-1)
-    with pytest.raises(TypeError, match="^threshold must be a number, got str$"):
-        run("identity", threshold="0.7")
     with pytest.raises(ValueError, match="^conversion efficiency eta"):
         run("identity", eta=0.0, l_max=3)
     for lookup in (oracle_class, logical_matrix):
@@ -349,8 +339,6 @@ def test_a_non_sequence_names_its_parameter():
 
 
 #: every exported callable or public method that takes a space, the space its one variable
-_BENCH = BenchFile(hologram=(2, -2), elements=(
-    QPlateStmt(Fraction(1)), HwpStmt(0.3, APERTURE_L0, 0.2), DoveStmt(), LensStmt()))
 SPACE_CALLS = {
     "PhotonState": lambda space: PhotonState(space, _AMPLITUDES),
     "ElementOp": lambda space: ElementOp(space, survival_factor=0.97),
@@ -360,13 +348,12 @@ SPACE_CALLS = {
     "dove_prism": lambda space: dove_prism(space),
     "lens": lambda space: lens(space),
     "Preparation.initial_state": lambda space: Preparation("H", (1, -3)).initial_state(space),
-    "compile_bench": lambda space: compile_bench(_BENCH, space=space),
     "prepare_input": lambda space: prepare_input(space),
     "expected_output": lambda space: expected_output(space, "zcnot"),
     "build_oracle": lambda space: build_oracle(space, "zcnot", eta=0.97, crosstalk=0.2),
     "encode": lambda space: encode(space, (1, 0)),
 }
-#: what a caller may pass by mistake for a space; None is compile_bench's default
+#: what a caller may pass by mistake for a space
 _NOT_SPACES = (6, 6.0, None, "6", [6])
 
 
@@ -384,7 +371,7 @@ def test_the_space_table_covers_every_space_parameter():
 
 @pytest.mark.parametrize("name, value", [
     pytest.param(name, value, id=f"{name}-{value!r}") for name in SPACE_CALLS
-    for value in _NOT_SPACES if not (name == "compile_bench" and value is None)])
+    for value in _NOT_SPACES])
 def test_a_wrong_space_raises_a_type_error_naming_it(name, value):
     for _ in range(2):  # and again: nothing was cached
         with pytest.raises(TypeError, match=r"^space must be a ModeSpace, got \w+$"):

@@ -2,7 +2,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import package_memos
+from conftest import element_builders, package_memos
 from dense import dense
 
 from spinorbit import (
@@ -24,7 +24,9 @@ from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
 from spinorbit.dsl import Preparation, compile_bench, parse
 from spinorbit.deutsch import run
 from spinorbit.errors import TruncationError
-from spinorbit.logic import _BIT_ORDER, LOGICAL_STATES, OracleBench, _ket, oracle_recipe
+from spinorbit.logic import (
+    _BIT_ORDER, LOGICAL_STATES, ORACLE_CHAINS, OracleBench, _ket, oracle_recipe,
+)
 from spinorbit.state import LEFT, MAX_L_MAX, RIGHT, ModeSpace, _act, make_space
 
 # the four defining rows of each oracle, (x, y) -> (x', y')
@@ -112,21 +114,22 @@ def test_logical_matrix_permutations():
 def test_build_oracle_recipes(space):
     identity = build_oracle(space, "identity")
     assert [op.label for op in identity.elements] == ["QP1", "L1", "L2", "QP2"]
-    assert identity.inserted == frozenset()
 
     noto = build_oracle(space, "not")
     assert [op.label for op in noto.elements] == ["QP1", "L1", "L2", "QP2", "HWP3", "DP"]
-    assert noto.inserted == frozenset({"HWP3", "DP"})
 
     cnot = build_oracle(space, "cnot")
     assert [op.label for op in cnot.elements] == ["QP1", "L1", "HWP1", "L2", "QP2"]
-    assert cnot.inserted == frozenset({"HWP1"})
 
     zcnot = build_oracle(space, "zcnot")
     assert [op.label for op in zcnot.elements] == [
         "HWP2", "QP1", "L1", "HWP1", "L2", "QP2", "HWP3",
     ]
-    assert zcnot.inserted == frozenset({"HWP1", "HWP2", "HWP3"})
+    # each oracle inserts into identity's chain the elements that select it
+    inserted = {oracle_id: set(chain) - set(ORACLE_CHAINS["identity"])
+                for oracle_id, chain in ORACLE_CHAINS.items()}
+    assert inserted == {"identity": set(), "not": {"HWP3", "DP"}, "cnot": {"HWP1"},
+                        "zcnot": {"HWP1", "HWP2", "HWP3"}}
 
 
 @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
@@ -140,7 +143,9 @@ def test_corpus_file_has_the_statements_of_its_recipe(oracle_id):
 
 def test_build_oracle_builds_its_recipe_statements(space):
     recipe = oracle_recipe("zcnot", eta=0.97, crosstalk=0.3)
-    built = compile_bench(parse("\n".join(stmt.render() for _, stmt in recipe)), space)
+    text = "\n".join([f"space lmax={space.l_max}"] + [stmt.render() for _, stmt in recipe])
+    built = compile_bench(parse(text))
+    assert built.space == space
     for op, reference in zip(build_oracle(space, "zcnot", 0.97, 0.3).elements, built.elements):
         assert op.survival_factor == reference.survival_factor
         assert np.array_equal(dense(op), dense(reference))
@@ -174,14 +179,14 @@ def test_build_oracle_builds_each_distinct_statement_once(space, monkeypatch, or
 @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
 @pytest.mark.parametrize("eta, crosstalk", [(1.0, 0.0), (0.97, 0.3)])
 def test_repeated_ops_equal_ops_built_afresh(oracle_id, eta, crosstalk):
-    from spinorbit import dsl, elements
+    from spinorbit import dsl
 
     space = make_space(6)
     for op, (label, stmt) in zip(
         build_oracle(space, oracle_id, eta, crosstalk).elements,
         oracle_recipe(oracle_id, eta, crosstalk),
     ):
-        for builder in elements._BUILDERS:  # a cold build, not the memo's op
+        for builder in element_builders():  # a cold build, not the memo's op
             builder.cache_clear()
         fresh = dsl._build_element(space, label, *dsl._element_spec(stmt))
         assert (op.label, op.survival_factor < 1, repr(op.survival_factor)) == (
@@ -333,9 +338,7 @@ def test_encoded_subspace_closure(space, oracle_id):
 
 def test_truth_table_reports_broken_gate(space):
     # a lone q-plate scatters the encoded kets to l in {0, +/-4}
-    broken = OracleBench(
-        "identity", (qplate(space, QPlateSpec(1)),), frozenset()
-    )
+    broken = OracleBench("identity", (qplate(space, QPlateSpec(1)),))
     with pytest.raises(GateBrokenError):
         truth_table(broken)
 

@@ -19,6 +19,7 @@ from spinorbit import (
 )
 from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
 from spinorbit.state import (
+    GUARD_TOL,
     H_CIRCULAR,
     LEFT,
     MAX_L_MAX,
@@ -294,6 +295,16 @@ def test_photon_state_requires_normalized_amplitudes(space):
         PhotonState(space, amps)
 
 
+def test_components_lists_the_amplitudes_above_guard_tol(space):
+    # normalizing leaves these amplitudes' bits as they are: the norm rounds to 1
+    amps = np.zeros(space.dimension, dtype=complex)
+    amps[space.index(LEFT, 2)] = 1.0
+    amps[space.index(RIGHT, -1)] = GUARD_TOL
+    amps[space.index(RIGHT, 3)] = -1j * np.nextafter(GUARD_TOL, 1.0)
+    assert list(PhotonState(space, amps).components()) == [
+        (LEFT, 2, 1 + 0j), (RIGHT, 3, -1j * np.nextafter(GUARD_TOL, 1.0))]
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_photon_state_rejects_non_finite_amplitudes(space, value):
     amps = np.zeros(space.dimension, dtype=complex)
@@ -394,6 +405,16 @@ def test_element_op_rejects_block_with_unit_but_skew_columns(space):
 def test_element_op_rejects_source_that_is_not_a_permutation(space, source):
     with pytest.raises(ValueError, match="not unitary"):
         ElementOp(space, source=source)
+
+
+def test_element_op_errors_name_the_element_and_its_fault():
+    space = make_space(4)
+    with pytest.raises(ValueError) as info:
+        ElementOp(space, source=[0] * 18)
+    assert str(info.value) == "element is not unitary (source is not a permutation of range(18))"
+    with pytest.raises(ValueError) as info:
+        ElementOp(space, label="HWP9", blocks=0.5 * np.tile(np.eye(2), (space.n_oam, 1, 1)))
+    assert str(info.value) == "HWP9 is not unitary (max |U+U - I| = 7.500e-01)"
 
 
 def test_element_op_accepts_an_unsigned_permutation(space):
