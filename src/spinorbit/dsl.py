@@ -55,6 +55,7 @@ from .state import (
     ModeSpace,
     PhotonState,
     _is_int,
+    _mix,
     _require_int,
     _require_space,
     make_space,
@@ -65,8 +66,8 @@ MEASURE_OAM_SORTER = "oam_sorter"
 MEASURE_KINDS = (MEASURE_PBS, MEASURE_OAM_SORTER)
 
 #: most elements a bench may hold; checked before any is built.  At
-#: `space lmax=1000` an element holds up to ~160 KB, so this bounds a chain
-#: at ~41 MB
+#: `space lmax=1000` an element holds up to ~68 KB (a q-plate), so this bounds
+#: a chain at ~17 MB
 MAX_ELEMENTS = 256
 #: largest .bench file the CLI reads; it reads at most one byte more
 MAX_BENCH_BYTES = 1 << 20
@@ -465,7 +466,7 @@ def compile_bench(bench: BenchFile) -> CompiledBench:
                 f"|{pol},{l:+d}> -> |{flipped},{target:+d}> leaves |l| <= {l_max}"
             )
         if op.blocks is not None:
-            moved = np.einsum("kpq,qk->pk", np.abs(op.blocks) > GUARD_TOL, moved.reshape(2, n))
+            moved = _mix(np.abs(op.blocks) > GUARD_TOL, moved.reshape(2, n))
         occupied = moved.ravel()
         ops.append(op)
     if l_max < MIN_L_MAX:

@@ -2,21 +2,23 @@
 
 Every factory returns a structured `ElementOp` (see `state.ElementOp`): the
 q-plate (the identity plus one shifted slice per polarization half) and the
-Dove prism are index permutations of the mode vector, the waveplates repeat
-one or two distinct 2x2 polarization blocks over the OAM values, and the lens
-is the identity permutation.  None of them fills a dense dim x dim matrix.
+Dove prism are index permutations of the mode vector, a waveplate holds one
+2x2 polarization block for every OAM value, or two with the second at l = 0,
+and the lens is the identity permutation.  None fills a dim x dim matrix.
 
 Each factory builds and checks its op once per exact input, in a private
 builder memoized with `functools.lru_cache` (at most `_MEMO_SIZE` ops each),
 and hands every caller the shared op `_relabel`ed to its label: the ops are
 immutable and their arrays read-only, so a caller cannot tell the two apart.
 The key is what the op's bits are made of, never the spec, because equal specs
-can build different bits: `WaveplateSpec(0.0) == WaveplateSpec(-0.0)`, and
-crosstalk 1.0 equals np.float32(1.0).  The q-plate is keyed on the space (equal
-iff l_max is), 2q and float(eta); the waveplate on the space, the aperture and
-the bytes of its distinct circular-basis blocks; the lens and the Dove prism on
-the space alone.  A build that raises caches nothing, and each factory checks
-that `space` is a ModeSpace before the lookup.
+can build different bits: `WaveplateSpec(0.0) == WaveplateSpec(-0.0)`.  Eta,
+theta and crosstalk are taken as float() before any arithmetic, so a numpy
+float builds the bits of the Python float of its value.  The q-plate is keyed
+on the space (equal iff l_max is), 2q and float(eta); the waveplate on the
+space, the aperture and the bytes of float(theta) and float(crosstalk), so a
+hit builds no array; the lens and the Dove prism on the space alone.  A build
+that raises caches nothing, and each factory checks that `space` is a
+ModeSpace before the lookup.
 
 Conventions (pinned so the composed gates come out with +1 row phases):
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,9 +150,9 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
     )
 
 
-# at l_max 1000 a waveplate op holds 160 KB, a q-plate at most 68 KB and a lens
-# or a Dove prism 32 KB, so the four builder memos, full of such ops, hold
-# _MEMO_SIZE (32) * 292 KB, about 9.3 MB, at worst
+# at l_max 1000 a q-plate op holds at most 68 KB, and a waveplate (its gather and
+# at most 128 B of blocks), a lens or a Dove prism 32 KB, so the four builder
+# memos, full of such ops, hold _MEMO_SIZE (32) * 164 KB, about 5.3 MB, at worst
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _qplate_op(space: ModeSpace, shift: int, eta: float) -> ElementOp:
     """The q-plate of `qplate`, keyed on l_max, 2q and float(eta).  The gather is
@@ -172,45 +175,40 @@ def _qplate_op(space: ModeSpace, shift: int, eta: float) -> ElementOp:
     return ElementOp(space, survival_factor=eta, label="qplate", input_mask=mask, source=source)
 
 
-def _hwp_block_circular(theta: float) -> np.ndarray:
+def _hwp_block_circular(theta: float) -> list:
     # circular-basis form of [[cos 2t, sin 2t], [sin 2t, -cos 2t]]
-    return np.array(
-        [[0.0, cmath.exp(-2j * theta)], [cmath.exp(2j * theta), 0.0]], dtype=complex
-    )
+    return [[0.0, cmath.exp(-2j * theta)], [cmath.exp(2j * theta), 0.0]]
 
 
-def _retarder_block_circular(crosstalk: float) -> np.ndarray:
+def _retarder_block_circular(crosstalk: float) -> list:
     # circular-basis form of diag(1, e^{i*eps*pi}) in H/V
     p = cmath.exp(1j * math.pi * crosstalk)
-    return np.array(
-        [[(1 + p) / 2, (1 - p) / 2], [(1 - p) / 2, (1 + p) / 2]], dtype=complex
-    )
+    return [[(1 + p) / 2, (1 - p) / 2], [(1 - p) / 2, (1 + p) / 2]]
 
 
 def hwp(space: ModeSpace, spec: WaveplateSpec, label: str | None = None) -> ElementOp:
     """Half-wave plate, full-aperture or acting on the l=0 component only."""
     _require_space(space)
-    active = _hwp_block_circular(spec.theta)
-    if spec.aperture == APERTURE_FULL:
-        distinct = active
-    else:
-        distinct = np.array((_retarder_block_circular(spec.crosstalk), active), dtype=complex)
     name = label or (
         f"hwp(theta={spec.theta:g})"
         if spec.aperture == APERTURE_FULL
         else f"hwp(theta={spec.theta:g}, l0_only, crosstalk={spec.crosstalk:g})"
     )
-    return _hwp_op(space, spec.aperture, distinct.tobytes())._relabel(name)
+    # a full-aperture plate has no retarder, so its crosstalk is no part of the key
+    crosstalk = float(spec.crosstalk) if spec.aperture == APERTURE_L0 else 0.0
+    angles = struct.pack("dd", float(spec.theta), crosstalk)
+    return _hwp_op(space, spec.aperture, angles)._relabel(name)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _hwp_op(space: ModeSpace, aperture: str, distinct: bytes) -> ElementOp:
-    """The waveplate of `hwp`, keyed on l_max, aperture and its distinct blocks' bytes."""
-    index = np.zeros(space.n_oam, dtype=np.intp)
-    if aperture == APERTURE_L0:
-        index[space.l_max] = 1
-    blocks = np.frombuffer(distinct, dtype=complex).reshape(-1, 2, 2)
-    return ElementOp._from_blocks(space, blocks, index, label="hwp")
+def _hwp_op(space: ModeSpace, aperture: str, angles: bytes) -> ElementOp:
+    """The waveplate of `hwp`, keyed on l_max, aperture and the bytes of float(theta)
+    and float(crosstalk): the active block, after the residual retarder for `l0`."""
+    theta, crosstalk = struct.unpack("dd", angles)
+    blocks = [_hwp_block_circular(theta)]
+    if aperture == APERTURE_L0:  # the residual retarder; the plate replaces it at l = 0
+        blocks.insert(0, _retarder_block_circular(crosstalk))
+    return ElementOp(space, label="hwp", blocks=blocks)
 
 
 def dove_prism(

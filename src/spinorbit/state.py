@@ -11,7 +11,7 @@ comparable across runs and implementations.
 
 Linear polarizations are defined relative to the circular basis by
 
-    |L> = (|H> + i|V|>) / sqrt(2),    |R> = (|H> - i|V>) / sqrt(2)
+    |L> = (|H> + i|V>) / sqrt(2),    |R> = (|H> - i|V>) / sqrt(2)
 
 which fixes the amplitude identities (|L> - |R>)/sqrt(2) = i|V> and
 (|L> + |R>)/sqrt(2) = |H>.
@@ -20,8 +20,9 @@ Loss is heralded and scalar: a photon either traverses an element intact or is
 lost entirely, so a lossy element keeps a unitary matrix and contributes a
 survival factor < 1 instead of attenuating individual modes.
 
-Every operator has one form, a gather of the mode vector followed by a 2x2
-polarization block per OAM index (`ElementOp`).  A chain of them is never
+Every operator has one form, a gather of the mode vector followed by one 2x2
+polarization block on every OAM index, or a second block in its place at
+l = 0 (`ElementOp`; `_mix` applies that rule).  A chain of them is never
 multiplied out: `compose` collects its factors and `apply` runs them in turn
 in one pass (`apply_chain`), building one state.
 
@@ -53,7 +54,7 @@ POLARIZATIONS = (LEFT, RIGHT)
 #: (its intermediate states reach OAM +/-4)
 MIN_L_MAX = 4
 #: largest truncation: dim is then 4002.  Every op, state and memo entry is
-#: O(dim) (an element holds one index array and at most n_oam 2x2 blocks, a
+#: O(dim) (an element holds index arrays and at most two 2x2 blocks, a
 #: `compose` result only its factors), so the cap bounds each of them
 MAX_L_MAX = 1000
 #: truncation used when a bench or a run names none
@@ -196,6 +197,8 @@ class PhotonState:
         _require_numbers(survival=self.survival)
         if not 0.0 <= self.survival <= 1.0:
             raise ValueError(f"survival must lie in [0, 1], got {self.survival!r}")
+        # float(): a numpy float32 survival would make every later product a float32
+        object.__setattr__(self, "survival", float(self.survival))
         object.__setattr__(self, "amplitudes", _frozen(amps / norm))
 
     def amplitude(self, pol: str, l: int) -> complex:
@@ -228,10 +231,10 @@ class ElementOp:
     A factory builds one factor, ``ElementOp(space, source=..., blocks=...)``:
     U = B P.  The gather P is out[i] = in[source[i]]; `source` (copied) is
     checked to be a permutation of range(dim) by one `bincount`, and is the
-    identity, unchecked, when not given.  B, if given, applies the 2x2
-    circular-basis block ``blocks[k]`` to the (L, R) pair of OAM index
-    l = k - l_max, so `blocks` has shape (2*l_max + 1, 2, 2).  Each block is
-    checked unitary; `hwp` passes only its distinct blocks (`_from_blocks`).
+    identity, unchecked, when not given.  B, if given, applies 2x2
+    circular-basis blocks to the (L, R) pair of each OAM index l: `blocks` has
+    shape (1, 2, 2), one block for every l, or (2, 2, 2), where ``blocks[1]``
+    replaces ``blocks[0]`` at l = 0 (`_mix`).  Each block is checked unitary.
     `compose` builds an op whose `factors` are its elements' factors; it has no
     `source`, `blocks` or `input_mask` of its own.
 
@@ -270,9 +273,9 @@ class ElementOp:
             )
         if blocks is not None:
             blocks = np.array(blocks, dtype=complex)
-            if blocks.shape != (space.n_oam, 2, 2):
+            if blocks.shape not in ((1, 2, 2), (2, 2, 2)):
                 raise ValueError(
-                    f"blocks have shape {blocks.shape}, expected ({space.n_oam}, 2, 2)"
+                    f"blocks have shape {blocks.shape}, expected (1, 2, 2) or (2, 2, 2)"
                 )
             self._require_unitary(_blocks_deviation(blocks.tolist()))
         if input_mask is not None:
@@ -280,15 +283,6 @@ class ElementOp:
             if input_mask.shape != (dim,):
                 raise ValueError("input_mask length must equal the dimension")
         self._set_arrays(src, blocks, input_mask)
-
-    @classmethod
-    def _from_blocks(cls, space: ModeSpace, distinct, index, label: str) -> ElementOp:
-        """Identity gather, ``blocks = distinct[index]``; checks only `distinct`."""
-        op = cls.__new__(cls)
-        op._setup(space, 1.0, label)
-        op._require_unitary(_blocks_deviation(distinct.tolist()))
-        op._set_arrays(np.arange(space.dimension), distinct.take(index, axis=0), None)
-        return op
 
     def _relabel(self, label: str) -> ElementOp:
         """This op under `label`, sharing its checked read-only arrays."""
@@ -304,7 +298,7 @@ class ElementOp:
             raise ValueError(f"survival_factor must lie in (0, 1], got {survival_factor!r}")
         init = object.__setattr__
         init(self, "space", space)
-        init(self, "survival_factor", survival_factor)
+        init(self, "survival_factor", float(survival_factor))
         init(self, "label", label)
         init(self, "_factors", factors)
 
@@ -343,19 +337,25 @@ def _blocks_deviation(blocks: list) -> float:
     return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
-def _act(op: ElementOp, vector: np.ndarray) -> np.ndarray:
-    """U @ vector, for one amplitude vector.
+def _mix(blocks: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """An op's `blocks` on `pairs`, (pol, l + l_max): ``blocks[0]`` mixes every (L, R)
+    pair, then ``blocks[1]``, if given, the pair of l = 0.  An `einsum`, so each column
+    gets the bits of its block applied alone; a matrix product can round differently."""
+    out = np.einsum("pq,qk->pk", blocks[0], pairs)
+    if len(blocks) == 2:
+        l0 = pairs.shape[1] // 2
+        out[:, l0] = np.einsum("pq,q->p", blocks[1], pairs[:, l0])
+    return out
 
-    Each factor in turn checks its guard, gathers, then mixes each (L, R) pair
-    with its 2x2 block: the vector reshaped to (2, n_oam) is (pol, l + l_max),
-    the README order.
-    """
+
+def _act(op: ElementOp, vector: np.ndarray) -> np.ndarray:
+    """U @ vector, for one amplitude vector: each factor in turn checks its guard,
+    gathers, then mixes each (L, R) pair by its blocks (`_mix`)."""
     for factor in op.factors:
         _check_guard(factor, vector)
         vector = vector[factor.source]
         if factor.blocks is not None:
-            pairs = vector.reshape(2, op.space.n_oam)
-            vector = np.einsum("kpq,qk->pk", factor.blocks, pairs).reshape(vector.shape)
+            vector = _mix(factor.blocks, vector.reshape(2, op.space.n_oam)).reshape(vector.shape)
     return vector
 
 

@@ -250,6 +250,31 @@ def test_bench_run_zcnot_measurement(capsys):
     assert abs(json.loads(out)["measurement"]["p_D1"] - 1.0) <= 1e-12
 
 
+#: the CNOT bench with an imperfect l0 plate, read out by the OAM sorter
+SORTER_BENCH = """space lmax=6
+prepare polarizer V
+prepare hologram oam=+2,-2
+qplate q=1
+hwp theta=0 aperture=l0 crosstalk=0.3
+qplate q=1
+measure oam_sorter
+"""
+
+
+def test_bench_run_json_reports_the_oam_sorter(tmp_path, capsys):
+    from spinorbit import apply_chain, compile_bench, measure_oam_superposition, parse
+
+    path = tmp_path / "sorter.bench"
+    path.write_text(SORTER_BENCH)
+    code, out, err = run_cli(capsys, "bench", "run", str(path), "--json")
+    assert code == 0 and err == ""
+    compiled = compile_bench(parse(SORTER_BENCH))
+    output = apply_chain(compiled.elements, compiled.preparation.initial_state(compiled.space))
+    assert json.loads(out)["measurement"] == {
+        "kind": "oam_sorter", **measure_oam_superposition(output)._asdict()}
+    assert list(json.loads(out)["measurement"]) == ["kind", "p_plus", "p_minus", "residual"]
+
+
 def test_bench_run_bad_input_spec(capsys):
     code, _, err = run_cli(
         capsys, "bench", "run", "identity.bench", "--input", "L;2"

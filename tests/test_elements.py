@@ -420,10 +420,13 @@ def _fields(op):
 _EQUAL_SPECS = [
     (lambda s: hwp(s, WaveplateSpec(0.0)), lambda s: hwp(s, WaveplateSpec(-0.0))),
     (lambda s: hwp(s, WaveplateSpec(0.1)), lambda s: hwp(s, WaveplateSpec(np.float32(0.1)))),
-    (lambda s: hwp(s, WaveplateSpec(0.3, APERTURE_L0, 1.0), "HWP1"),
-     lambda s: hwp(s, WaveplateSpec(0.3, APERTURE_L0, np.float32(1.0)), "HWP1")),
+    (lambda s: hwp(s, WaveplateSpec(0.0, APERTURE_L0, 1.0), "HWP1"),
+     lambda s: hwp(s, WaveplateSpec(-0.0, APERTURE_L0, 1.0), "HWP1")),
     (lambda s: qplate(s, QPlateSpec(1, 0.97), "QP1"),
      lambda s: qplate(s, QPlateSpec(1, np.float32(0.97)), "QP1")),
+    # crosstalk -0.0 has its own key, and builds the bits of 0.0
+    (lambda s: hwp(s, WaveplateSpec(0.3, APERTURE_L0, 0.0)),
+     lambda s: hwp(s, WaveplateSpec(0.3, APERTURE_L0, -0.0))),
     (lambda s: qplate(s, QPlateSpec(Fraction(-1, 2))),
      lambda s: qplate(s, QPlateSpec(-0.5), "QP2")),
     (lambda s: dove_prism(s), lambda s: dove_prism(s, DovePrismSpec(), "DP")),
@@ -451,6 +454,28 @@ def test_a_hit_shares_the_read_only_arrays_under_its_own_label(space):
     assert first is not second and (first.label, second.label) == ("A", "B")
     assert second.blocks is first.blocks and not second.blocks.flags.writeable
     assert elements._hwp_op.cache_info().hits == 1
+
+
+def test_a_waveplate_hit_builds_no_block(space, monkeypatch):
+    # the key is the bytes of float(theta) and float(crosstalk), so a hit needs no block
+    first = hwp(space, WaveplateSpec(0.3, APERTURE_L0, np.float32(0.2)))
+    for builder in ("_hwp_block_circular", "_retarder_block_circular"):
+        monkeypatch.setattr(elements, builder, lambda _: pytest.fail("built a block"))
+    again = hwp(space, WaveplateSpec(0.3, APERTURE_L0, float(np.float32(0.2))))
+    assert again.blocks is first.blocks
+
+
+def test_a_full_aperture_plate_is_keyed_without_its_crosstalk(space):
+    first = hwp(space, WaveplateSpec(0.3))
+    assert hwp(space, WaveplateSpec(0.3, crosstalk=0.7)).blocks is first.blocks
+    assert elements._hwp_op.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("l_max", [4, 1000])
+def test_a_waveplate_holds_one_block_or_two(l_max):
+    space = make_space(l_max)
+    assert hwp(space, WaveplateSpec(0.3)).blocks.shape == (1, 2, 2)
+    assert hwp(space, WaveplateSpec(0.0, APERTURE_L0, 0.3)).blocks.nbytes == 128
 
 
 def test_the_memo_keeps_at_most_maxsize_entries():

@@ -35,6 +35,7 @@ from spinorbit import (
     QPlateSpec,
     TruncationError,
     WaveplateSpec,
+    apply,
     basis_state,
     build_oracle,
     classify,
@@ -284,8 +285,10 @@ def test_every_listed_bad_value_is_rejected(name, parameter, kind_name):
 
 
 def _canonical(value):
-    """A value comparable with ==: arrays by bytes, ops by their dense view, records field
-    by field."""
+    """A value comparable with ==: floats and arrays by bytes, ops by their dense view,
+    records field by field."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, ElementOp):
@@ -311,6 +314,43 @@ def test_numpy_scalars_give_the_result_python_numbers_give(row, data):
     want = call(**{parameter: kind.wrap(value)})
     got = call(**{parameter: kind.wrap(_numpy_copy(value))})
     assert _canonical(got) == _canonical(want)
+
+
+#: a few valid values of each kind that takes a float
+FLOAT_VALUES = {
+    "unit": (0.0, 0.3, 0.77, 1.0),
+    "efficiency": (0.5, 0.97, 1.0),
+    "angle": (0.0, 0.4, -1.3, 3.0),
+    "zero": (0.0,),
+    "charge": (0.5, -1.5, 2.0),
+    "weights": (0.3, 2.5),
+}
+#: `CALLS`, where a value reaches bits only through a further call: a spec through its
+#: factory (the waveplate's crosstalk through an l0 plate), a survival through `apply`
+BIT_CALLS = {
+    **{name: call for name, (call, _) in CALLS.items()},
+    "PhotonState": lambda **kw: apply(ElementOp(SPACE, survival_factor=0.97),
+                                      PhotonState(SPACE, _AMPLITUDES, **kw)),
+    "ElementOp": lambda **kw: apply(ElementOp(SPACE, **kw),
+                                    PhotonState(SPACE, _AMPLITUDES, survival=0.3)),
+    "QPlateSpec": lambda **kw: qplate(SPACE, QPlateSpec(**{"q": 1, **kw})),
+    "WaveplateSpec": lambda **kw: hwp(SPACE, WaveplateSpec(**{"theta": 0.3,
+                                                              "aperture": APERTURE_L0, **kw})),
+    "DovePrismSpec": lambda **kw: dove_prism(SPACE, DovePrismSpec(**kw)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("name, parameter, kind_name",
+                         [row for row in TABLE if row[2] in FLOAT_VALUES])
+def test_numpy_floats_give_the_bits_of_the_python_float(name, parameter, kind_name, dtype):
+    # a float16 or float32 is taken as the float of its value, never computed with in
+    # its own precision (numpy 2 makes a Python complex times a float32 a complex64)
+    kind, call = KINDS[kind_name], BIT_CALLS[name]
+    for value in map(dtype, FLOAT_VALUES[kind_name]):
+        want = call(**{parameter: kind.wrap(float(value))})
+        got = call(**{parameter: kind.wrap(value)})
+        assert _canonical(got) == _canonical(want), value
 
 
 def test_each_input_has_one_rule():

@@ -296,13 +296,14 @@ def test_act_on_the_encoded_kets_equals_the_dense_view(l_max):
                 assert_acts_as_the_dense_view_on_the_encoded_kets(op)
     # restrictions that are not symmetric, in both operator forms
     tilted = hwp(space, WaveplateSpec(0.3))
-    # a 4-cycle of the encoded kets, then an (L, R) mixer on every l
+    # a 4-cycle of the encoded kets, then an (L, R) mixer on every l but l = 0,
+    # which has a spin flip
     cycle = np.arange(space.dimension)
     cycle[indices] = np.roll(indices, 1)
     scrambled = ElementOp(
         space,
         source=cycle,
-        blocks=np.tile(np.array([[0.6, 0.8j], [0.8j, 0.6]]), (space.n_oam, 1, 1)),
+        blocks=np.array([[[0.6, 0.8j], [0.8j, 0.6]], [[0, 1j], [1j, 0]]]),
     )
     for op in (tilted, scrambled):
         restriction = encoded_restriction(op)

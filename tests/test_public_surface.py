@@ -69,6 +69,7 @@ SURFACE = {
     "computational_state": ("x", "y"),
     "hadamard_both": ("state",),
     # state
+    # blocks of shape (1, 2, 2), one for every l, or (2, 2, 2), the second at l = 0
     "ElementOp": ("space", "survival_factor", "label", "input_mask", "source", "blocks"),
     "ModeSpace": ("l_max",),
     "ModeSpace.contains": ("self", "l"),

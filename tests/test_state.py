@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import package_memos
-from dense import dense
+from dense import dense, per_l_blocks
 
 from spinorbit import (
     ElementOp,
@@ -17,7 +17,7 @@ from spinorbit import (
     make_space,
     run,
 )
-from spinorbit.elements import QPlateSpec, WaveplateSpec, hwp, qplate
+from spinorbit.elements import APERTURE_L0, QPlateSpec, WaveplateSpec, hwp, qplate
 from spinorbit.state import (
     GUARD_TOL,
     H_CIRCULAR,
@@ -316,34 +316,46 @@ def test_photon_state_rejects_non_finite_amplitudes(space, value):
 
 def test_element_op_rejects_non_unitary(space):
     with pytest.raises(ValueError, match="not unitary"):
-        ElementOp(space, blocks=0.5 * np.tile(np.eye(2, dtype=complex), (space.n_oam, 1, 1)))
+        ElementOp(space, blocks=0.5 * np.eye(2, dtype=complex)[None])
 
 
 def test_element_op_rejects_nan_matrix(space):
     with pytest.raises(ValueError, match="not unitary"):
-        ElementOp(space, blocks=np.full((space.n_oam, 2, 2), np.nan))
+        ElementOp(space, blocks=np.full((1, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize("shape", [(13, 2, 2), (3, 2, 2), (2, 2), (2, 2, 3), (0, 2, 2)])
+def test_element_op_takes_one_block_or_two(space, shape):
+    # one block for every l, or that block and the block of l = 0; a block per l
+    # (n_oam of them at l_max 6) is no longer a form
+    with pytest.raises(ValueError) as info:
+        ElementOp(space, blocks=np.zeros(shape))
+    assert str(info.value) == (
+        f"blocks have shape {shape}, expected (1, 2, 2) or (2, 2, 2)"
+    )
 
 
 def _oracle_blocks(l_max):
-    """The blocks of cnot's one mixing element, HWP1 with crosstalk: a
-    retarder on every l != 0 and the L <-> R swap, with zeros, at l = 0."""
+    """The blocks of cnot's one mixing element, HWP1 with crosstalk: the
+    retarder of every l != 0, then the L <-> R swap, with zeros, of l = 0."""
     space = make_space(l_max)
     (hwp1,) = [op for op in build_oracle(space, "cnot", crosstalk=0.3).elements
                if op.blocks is not None]
     return space, np.array(hwp1.blocks)
 
 
-def _plant(blocks, fault, l_max):
+def _plant(blocks, fault):
+    # blocks[0] is the retarder, blocks[1] the swap of l = 0
     if fault == "existing entry +1e-11":
-        blocks[1, 0, 0] += 1e-11
+        blocks[0, 0, 0] += 1e-11
     elif fault == "new entry +1e-11":
-        blocks[l_max, 0, 0] += 1e-11
+        blocks[1, 0, 0] += 1e-11
     elif fault == "zeroed column":
-        blocks[3, :, 1] = 0.0
+        blocks[0, :, 1] = 0.0
     elif fault == "NaN entry":
-        blocks[2, 1, 1] = np.nan
+        blocks[0, 1, 1] = np.nan
     elif fault == "NaN in a one-entry row":
-        blocks[l_max, 0, 1] = np.nan
+        blocks[1, 0, 1] = np.nan
     return blocks
 
 
@@ -364,27 +376,27 @@ def test_element_op_rejects_faults_planted_in_an_oracle_product(l_max, fault):
     space, blocks = _oracle_blocks(l_max)
     ElementOp(space, blocks=blocks)
     with pytest.raises(ValueError, match="not unitary"):
-        ElementOp(space, blocks=_plant(blocks, fault, l_max))
+        ElementOp(space, blocks=_plant(blocks, fault))
 
 
 def test_element_op_accepts_an_oracle_product_perturbed_within_tolerance():
     space, blocks = _oracle_blocks(64)
-    blocks[1, 1, 1] += 3e-13j
+    blocks[0, 1, 1] += 3e-13j
     ElementOp(space, blocks=blocks)
 
 
 @pytest.mark.parametrize("value", [0.5, np.nan])
 def test_element_op_rejects_non_unitary_block(space, value):
-    blocks = np.tile(np.eye(2, dtype=complex), (space.n_oam, 1, 1))
-    blocks[3, 1, 1] = value
+    # the fault is in the block of l = 0 alone
+    blocks = np.array([np.eye(2), np.eye(2)], dtype=complex)
+    blocks[1, 1, 1] = value
     with pytest.raises(ValueError, match="not unitary"):
         ElementOp(space, source=np.arange(space.dimension), blocks=blocks)
 
 
 def test_element_op_rejects_block_with_unit_but_skew_columns(space):
     # both columns have norm 1, so only the off-diagonal of B+B shows the fault
-    blocks = np.tile(np.eye(2, dtype=complex), (space.n_oam, 1, 1))
-    blocks[5] = np.full((2, 2), 0.5 ** 0.5)
+    blocks = np.array([np.full((2, 2), 0.5 ** 0.5), np.eye(2)], dtype=complex)
     with pytest.raises(ValueError, match=r"not unitary \(max \|U\+U - I\| = 1\.000e\+00\)"):
         ElementOp(space, source=np.arange(space.dimension), blocks=blocks)
 
@@ -413,7 +425,7 @@ def test_element_op_errors_name_the_element_and_its_fault():
         ElementOp(space, source=[0] * 18)
     assert str(info.value) == "element is not unitary (source is not a permutation of range(18))"
     with pytest.raises(ValueError) as info:
-        ElementOp(space, label="HWP9", blocks=0.5 * np.tile(np.eye(2), (space.n_oam, 1, 1)))
+        ElementOp(space, label="HWP9", blocks=[np.eye(2), 0.5 * np.eye(2)])
     assert str(info.value) == "HWP9 is not unitary (max |U+U - I| = 7.500e-01)"
 
 
@@ -439,11 +451,45 @@ def test_element_op_without_source_takes_the_identity_gather(space):
         ElementOp(space, np.eye(space.dimension, dtype=complex))
 
 
+#: every waveplate form: full aperture, and l0 with each crosstalk, at each theta
+_WAVEPLATES = [WaveplateSpec(theta, aperture, crosstalk) for theta in (0.0, -0.0, 0.4)
+               for aperture, crosstalk in [("full", 0.0)]
+               + [(APERTURE_L0, crosstalk) for crosstalk in (0.0, -0.0, 0.3, 1.0)]]
+
+
+def _with_signed_zeros(amps, rng):
+    # the real or imaginary part of about a third of the modes made +0 or -0
+    for part in (amps.real, amps.imag):
+        part[rng.random(amps.size) < 1 / 3] = 0.0
+        part[rng.random(amps.size) < 1 / 3] = -0.0
+    return amps
+
+
+@pytest.mark.parametrize("l_max", [4, 6, 64, 1000])
+def test_waveplates_apply_the_bits_of_one_block_per_l(l_max):
+    # `apply` against the block of each l applied by the per-l einsum, byte for byte:
+    # a matrix product of the shared block, or the l = 0 block on another column,
+    # moves bits here
+    space = make_space(l_max)
+    rng = np.random.default_rng(l_max)
+    ones = _with_signed_zeros(np.ones(space.dimension, dtype=complex), rng)
+    normal = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    states = [PhotonState(space, a / _norm(a)) for a in (ones, _with_signed_zeros(normal, rng))]
+    for spec in _WAVEPLATES:
+        op = hwp(space, spec)
+        for state in states:
+            pairs = state.amplitudes.reshape(2, space.n_oam)
+            mixed = np.einsum("kpq,qk->pk", per_l_blocks(op), pairs).reshape(-1)
+            want = PhotonState(space, mixed).amplitudes
+            assert apply(op, state).amplitudes.tobytes() == want.tobytes(), spec
+
+
 def test_structured_op_matches_its_dense_view(space):
-    # gather with a spin-flip block on every l: U = B P, checked column by column
+    # gather with a spin-flip block on every l but l = 0, which has a mixer:
+    # U = B P, checked column by column
     rng = np.random.default_rng(5)
     source = rng.permutation(space.dimension)
-    blocks = np.tile(np.array([[0, 1j], [1j, 0]]), (space.n_oam, 1, 1))
+    blocks = np.array([[[0, 1j], [1j, 0]], [[0.6, 0.8j], [0.8j, 0.6]]])
     op = ElementOp(space, source=source, blocks=blocks)
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     state = PhotonState(space, amps / np.linalg.norm(amps))
