@@ -129,20 +129,21 @@ class ModeSpace:
         object.__setattr__(self, "dimension", 2 * self.n_oam)
 
     def contains(self, l: int) -> bool:
-        return -self.l_max <= l <= self.l_max
+        return -self.l_max <= _require_int("l", l) <= self.l_max
 
     def index(self, pol: str, l: int) -> int:
         if pol not in POLARIZATIONS:
             raise ValueError(f"polarization must be 'L' or 'R', got {pol!r}")
         if not _is_int(l):
             raise TypeError(f"l must be an integer, got {l!r}")
-        if not self.contains(l):
+        if not -self.l_max <= l <= self.l_max:
             raise TruncationError(
                 f"OAM index l={l:+d} outside truncation |l| <= {self.l_max}"
             )
         return POLARIZATIONS.index(pol) * self.n_oam + (l + self.l_max)
 
     def basis_label(self, index: int) -> tuple[str, int]:
+        index = _require_int("index", index)
         if not 0 <= index < self.dimension:
             raise IndexError(f"basis index {index} out of range")
         pol, offset = divmod(index, self.n_oam)

@@ -1,10 +1,24 @@
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
 import spinorbit
-from spinorbit import make_space
+from spinorbit import make_space, parse
+
+# the benchmark harness's independent propagator and its bench generator
+# (`benchmarks/propagator.py`, `benchmarks/benchtext.py`) are imported in place
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import benchtext  # noqa: E402
+
+
+def valid_bench(rng):
+    """A parsed `benchtext` bench at l_max 4-8 with up to 6 elements, inside the
+    truncation by the propagator's account, never by the compiler's."""
+    return parse(benchtext.generate("valid", rng.randint(4, 8), rng.randint(0, 6), rng).text)
 
 
 def package_memos():

@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from benchgen import random_bench
+from conftest import valid_bench
 from dense import dense
 from spinorbit import (
     CompileError,
@@ -242,7 +242,7 @@ def test_criterion_09_dsl_corpus_and_random_files():
     rng = random.Random(20260810)
     random_ok = True
     for _ in range(200):
-        bench = random_bench(rng)
+        bench = valid_bench(rng)
         round_tripped = parse(render(bench))
         random_ok &= round_tripped == bench
         compile_bench(round_tripped)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from spinorbit import cli
+from spinorbit import cli, deutsch, reference
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +92,31 @@ def test_deutsch_verify_ideal(capsys):
 def test_deutsch_verify_noisy_still_consistent(capsys):
     code, _, _ = run_cli(capsys, "deutsch", "--oracle", "cnot", "--crosstalk", "0.6", "--verify")
     assert code == 0
+
+
+def test_deutsch_verify_reads_the_oam_sorter_ports(capsys):
+    code, _, err = run_cli(capsys, "deutsch", "--oracle", "all", "--measure", "oam", "--verify")
+    assert code == 0
+    assert err == "verify: 4 report(s) consistent\n"
+
+
+def test_verify_report_names_each_inconsistency():
+    report = deutsch.run("cnot")
+    assert cli._verify_report(report) == []
+    # the ports no longer sum to 1, and neither is above the threshold
+    assert cli._verify_report(dataclasses.replace(report, p_d1=0.5)) == [
+        "cnot: p_D1 + p_D2 != 1",
+        "cnot: verdict inconsistent with probabilities",
+    ]
+
+
+def test_deutsch_verify_failure_exits_3(capsys, monkeypatch):
+    # `_verify_report` imports the abstract classifier when it runs, so this reaches it
+    monkeypatch.setattr(reference, "classify_abstract", lambda function: deutsch.CONSTANT)
+    code, out, err = run_cli(capsys, "deutsch", "--oracle", "cnot", "--verify")
+    assert code == 3
+    assert "verdict=balanced" in out
+    assert err == "verify: FAIL cnot: verdict disagrees with the abstract classifier\n"
 
 
 def test_invalid_flag_exits_1(capsys):
@@ -401,6 +427,16 @@ def test_bench_missing_file(capsys):
     code, _, err = run_cli(capsys, "bench", "run", "no_such.bench")
     assert code == 1
     assert "not found" in err
+
+
+def test_bench_run_prefers_a_local_benches_directory(tmp_path, capsys, monkeypatch):
+    # a `benches` directory in the working directory shadows the packaged corpus
+    (tmp_path / "benches").mkdir()
+    (tmp_path / "benches" / "identity.bench").write_text("lens\nmeasure pbs\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "bench", "run", "identity.bench", "--json")
+    assert code == 0
+    assert json.loads(out)["file"] == str(Path("benches") / "identity.bench")
 
 
 def test_bench_corpus_flag(tmp_path, capsys):

@@ -1,234 +1,180 @@
-"""`compile_bench`'s truncation check against the symbolic trace it replaced.
+"""`compile_bench` against the independent propagator of the benchmark harness.
 
-The compiler builds each element and pushes a boolean occupancy vector
-through the built op.  The reference below is the earlier compiler: the same
-checks, then a symbolic trace that restates each element's action on Python
-sets of (pol, l) modes, then the build.  Both must give the same exception
-type and text, or byte-equal ops, on every seeded bench, apart from two
-deliberate differences, each pinned by its own test below:
+`benchmarks/propagator.py` restates each element from the README's
+conventions on a dict of (pol, l) amplitudes and shares no code with
+`spinorbit`.  It keeps every mode that some path reaches, so it decides
+truncation overflow as well as amplitudes.  Two differential tests run the
+text pipeline (parse, compile, apply) against it:
 
-(a) an `l0` waveplate whose crossed entry is at most GUARD_TOL no longer adds
-    the flipped mode, as the runtime guard ignores such amplitudes too;
+* every chain of at most three statements over a fixed alphabet of ten, under
+  two preparations, at l_max 3 and 4 (the small-scope hypothesis: Jackson,
+  "Software Abstractions", MIT Press, 2006);
+* seeded benches of up to 20 elements from `benchmarks/benchtext.py`, which
+  asks the propagator, never the compiler, which benches stay inside the
+  truncation and at which element the others overflow.
+
+An overflow must name the propagator's element, its file line and the first
+mode that leaves (L before R, l ascending).  Below the l_max floor a chain
+that does not overflow must fail on the floor.  Any other bench must compile,
+with amplitudes within 1e-12 of the propagator's (so no weight above 1e-12
+outside its modes) and the same survival.  Two deliberate differences are
+pinned by their own tests below:
+
+(a) an `l0` waveplate whose crossed (or diagonal) entry is at most GUARD_TOL
+    adds no mode, as the runtime guard ignores such amplitudes too, while the
+    propagator follows every path whose coefficient is not exactly zero;
 (b) an l_max above the cap fails on the cap before any overflow analysis.
 """
 
-import cmath
-import dataclasses
-import math
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
+import benchtext
+import numpy as np
+import propagator as prop
 import pytest
 
 from spinorbit import CompileError, TruncationError, apply_chain, compile_bench, parse
-from spinorbit import elements as el
-from spinorbit.dsl import (
-    MAX_ELEMENTS,
-    BenchFile,
-    DoveStmt,
-    HwpStmt,
-    LensStmt,
-    Preparation,
-    QPlateStmt,
-)
-from spinorbit.state import DEFAULT_L_MAX, GUARD_TOL, LEFT, MAX_L_MAX, RIGHT, make_space
+from spinorbit.state import MIN_L_MAX
 
-# --- the reference -------------------------------------------------------------
+# --- the comparison -------------------------------------------------------------
 
 
-def _name(index, stmt):
-    where = f" (line {stmt.line})" if stmt.line else ""
-    return f"element {index} '{stmt.keyword}'{where}"
-
-
-def reference_trace_support(bench, prep, l_max):
-    """Symbolically propagate the set of occupiable |pol, l> modes through the chain.
-
-    Raises CompileError naming the first element whose action would move an
-    occupiable mode outside |l| <= l_max.
-    """
-    support = {(pol, l) for pol in (LEFT, RIGHT) for l in prep.oams}
-    for index, stmt in enumerate(bench.elements, start=1):
-        if isinstance(stmt, QPlateStmt):
-            shift = int(2 * stmt.q)
-            new_support = set()
-            for pol, l in sorted(support):
-                target = l + shift if pol == LEFT else l - shift
-                flipped = RIGHT if pol == LEFT else LEFT
-                if abs(target) > l_max:
-                    raise CompileError(
-                        f"truncation overflow at {_name(index, stmt)}: "
-                        f"|{pol},{l:+d}> -> |{flipped},{target:+d}> leaves "
-                        f"|l| <= {l_max}"
-                    )
-                new_support.add((flipped, target))
-            support = new_support
-        elif isinstance(stmt, HwpStmt):
-            new_support = set()
-            for pol, l in support:
-                flipped = RIGHT if pol == LEFT else LEFT
-                if stmt.aperture == el.APERTURE_FULL or l == 0:
-                    new_support.add((flipped, l))
-                elif stmt.crosstalk == 0.0:
-                    new_support.add((pol, l))
-                elif stmt.crosstalk == 1.0:
-                    new_support.add((flipped, l))
-                else:
-                    new_support.add((pol, l))
-                    new_support.add((flipped, l))
-            support = new_support
-        elif isinstance(stmt, DoveStmt):
-            support = {(pol, -l) for pol, l in support}
-        # lens: no effect on mode content
-
-
-def reference_compile(bench, traced=None):
-    """The earlier compile_bench's ops; the trace runs on `traced` if given."""
-    if len(bench.elements) > MAX_ELEMENTS:
-        raise CompileError(
-            f"bench has {len(bench.elements)} elements; the limit is {MAX_ELEMENTS}"
-        )
-    l_max = bench.l_max if bench.l_max is not None else DEFAULT_L_MAX
-    # checked here, before Preparation, which rejects the same holograms itself
-    oams = bench.hologram if bench.hologram is not None else (0,)
-    if not oams:
-        raise CompileError("hologram needs at least one OAM value")
-    if len(set(oams)) != len(oams):
-        raise CompileError(f"hologram lists duplicate OAM values: {oams}")
-    prep = Preparation(axis=bench.polarizer if bench.polarizer is not None else "V", oams=oams)
-    for l in prep.oams:
-        if abs(l) > l_max:
-            raise CompileError(
-                f"prepared OAM l={l:+d} exceeds the truncation |l| <= {l_max}"
+def _overflow_text(support, element, index, line, l_max):
+    """The compiler's overflow message for the first mode of `support` that the
+    q-plate `element` moves beyond l_max."""
+    shift = int(2 * element[1])
+    for pol, l in sorted(support):
+        target = l + shift if pol == "L" else l - shift
+        if abs(target) > l_max:
+            return (
+                f"truncation overflow at element {index} 'qplate' (line {line}): "
+                f"|{pol},{l:+d}> -> |{prop.FLIP[pol]},{target:+d}> leaves |l| <= {l_max}"
             )
-    specs = []
-    for index, stmt in enumerate(bench.elements, start=1):
-        try:
-            if isinstance(stmt, QPlateStmt):
-                specs.append(el.QPlateSpec(stmt.q, stmt.eta))
-            elif isinstance(stmt, HwpStmt):
-                specs.append(el.WaveplateSpec(stmt.theta, stmt.aperture, stmt.crosstalk))
-            elif isinstance(stmt, DoveStmt):
-                specs.append(el.DovePrismSpec(stmt.angle))
-            else:
-                specs.append(None)
-        except ValueError as exc:
-            raise CompileError(f"{_name(index, stmt)}: {exc}") from exc
-    reference_trace_support(traced or bench, prep, l_max)
-    space = make_space(l_max)
-    factories = {QPlateStmt: el.qplate, HwpStmt: el.hwp, DoveStmt: el.dove_prism}
-    ops = []
-    for index, (stmt, spec) in enumerate(zip(bench.elements, specs), start=1):
-        label = f"{stmt.keyword}[{index}]"
-        if spec is None:
-            ops.append(el.lens(space, label=label))
-        else:
-            ops.append(factories[type(stmt)](space, spec, label=label))
-    return tuple(ops)
+    raise AssertionError("the propagator overflowed, yet no mode leaves")
 
 
-def _bytes(array):
-    return None if array is None else array.tobytes()
+def _floor_text(l_max):
+    return (
+        f"l_max={l_max} is below the minimum {MIN_L_MAX}; the composite CNOT bench "
+        f"reaches intermediate OAM +/-4"
+    )
 
 
-def outcome(compile_ops, bench):
-    """(exception type, text), or each op's label, loss, survival and arrays."""
+def assert_agrees(text, l_max, axis, oams, chain, first_line):
+    """Run `text` through the pipeline and check it against the propagator, which
+    runs `chain` from (axis, oams) at l_max; element 1 is on file line `first_line`.
+
+    Returns what both made of it: ("overflow", element index, line), "floor" or
+    "state".
+    """
+    start = prop.prepare(axis, oams)
     try:
-        ops = compile_ops(bench)
+        want, survival = prop.propagate(start, chain, l_max)
+    except prop.Overflow as exc:
+        support, _ = prop.propagate(start, chain[: exc.index - 1], l_max)
+        line = first_line + exc.index - 1
+        expected = (CompileError, _overflow_text(support, chain[exc.index - 1], exc.index,
+                                                 line, l_max))
+        kind = ("overflow", exc.index, line)
+    else:
+        expected = (TruncationError, _floor_text(l_max)) if l_max < MIN_L_MAX else None
+        kind = "floor" if expected else "state"
+    try:
+        compiled = compile_bench(parse(text))
     except Exception as exc:  # the type is part of what is compared
-        return type(exc), str(exc)
-    return tuple(
-        (op.label, op.survival_factor < 1, op.survival_factor, _bytes(op.source),
-         _bytes(op.blocks), _bytes(op.input_mask))
-        for op in ops
-    )
+        assert (type(exc), str(exc)) == expected, text
+        return kind
+    assert expected is None, text
+    out = apply_chain(compiled.elements, compiled.preparation.initial_state(compiled.space))
+    # the documented basis order: index(pol, l) = pol_index * (2 l_max + 1) + l + l_max
+    n_oam = 2 * l_max + 1
+    reference = np.zeros_like(out.amplitudes)
+    for (pol, l), amp in want.items():
+        reference["LR".index(pol) * n_oam + l + l_max] = amp
+    # the reference is 0 off the propagator's modes, so this bounds any weight there too
+    assert np.abs(out.amplitudes - reference).max() <= 1e-12, text
+    assert out.survival == survival, text
+    return kind
 
 
-def compiled_ops(bench):
-    return compile_bench(bench).elements
+# --- every chain of up to three statements ----------------------------------------
+
+#: (statement, the propagator's element): each q-plate shift, each waveplate kind,
+#: the retarder at both ends of its crosstalk range and inside it, the Dove prism
+ALPHABET = (
+    ("qplate q=1", ("qplate", Fraction(1), 1.0)),
+    ("qplate q=-1 eta=0.9", ("qplate", Fraction(-1), 0.9)),
+    ("qplate q=1/2", ("qplate", Fraction(1, 2), 1.0)),
+    ("qplate q=3/2 eta=0.97", ("qplate", Fraction(3, 2), 0.97)),
+    ("hwp theta=0.3", ("hwp", 0.3)),
+    ("hwp theta=0 aperture=l0", ("hwp_l0", 0.0, 0.0)),
+    ("hwp theta=0.7 aperture=l0 crosstalk=0.3", ("hwp_l0", 0.7, 0.3)),
+    ("hwp theta=-0.2 aperture=l0 crosstalk=1", ("hwp_l0", -0.2, 1.0)),
+    ("dove", ("dove",)),
+    ("lens", ("lens",)),
+)
+#: the paper's probe, and an H preparation off the q-plates' symmetric lattice
+PREPARATIONS = (("V", (2, -2)), ("H", (0, 1)))
 
 
-def guard_aware(bench):
-    """The bench with each l0 waveplate whose crossed (or diagonal) retarder
-    entry is at most GUARD_TOL traced as crosstalk 0 (or 1): difference (a)."""
-    elements = []
-    for stmt in bench.elements:
-        if isinstance(stmt, HwpStmt) and stmt.aperture == el.APERTURE_L0:
-            p = cmath.exp(1j * math.pi * stmt.crosstalk)
-            if abs((1 - p) / 2) <= GUARD_TOL:
-                stmt = dataclasses.replace(stmt, crosstalk=0.0)
-            elif abs((1 + p) / 2) <= GUARD_TOL:
-                stmt = dataclasses.replace(stmt, crosstalk=1.0)
-        elements.append(stmt)
-    return dataclasses.replace(bench, elements=tuple(elements))
+@pytest.mark.parametrize("l_max", [MIN_L_MAX - 1, MIN_L_MAX])
+def test_every_chain_of_up_to_three_statements_matches_the_propagator(l_max):
+    outcomes = Counter()
+    for axis, oams in PREPARATIONS:
+        header = [f"space lmax={l_max}", f"prepare polarizer {axis}",
+                  "prepare hologram oam=" + ",".join(f"{l:+d}" for l in oams)]
+        for n in range(4):
+            for statements in itertools.product(ALPHABET, repeat=n):
+                text = "\n".join(header + [line for line, _ in statements]) + "\n"
+                chain = [element for _, element in statements]
+                kind = assert_agrees(text, l_max, axis, oams, chain, len(header) + 1)
+                outcomes[kind if isinstance(kind, str) else kind[0]] += 1
+    assert sum(outcomes.values()) == 2 * (1 + 10 + 100 + 1000)
+    assert set(outcomes) == {"overflow", "floor" if l_max < MIN_L_MAX else "state"}, outcomes
 
 
-# --- seeded benches ---------------------------------------------------------------
-
-#: crosstalk values, including some within GUARD_TOL of 0 and 1 (difference a)
-_CROSSTALKS = (0.0, 1.0, 0.3, 0.5, 1e-13, 1 - 1e-13, 5e-13, 2e-12)
+# --- seeded benches of up to 20 elements -------------------------------------------
 
 
-def _pick(rng, common, rare, p_rare=0.03):
-    return rng.choice(rare if rng.random() < p_rare else common)
-
-
-def _random_element(rng):
-    kind = rng.choice(("qplate", "qplate", "hwp", "hwp", "dove", "lens"))
-    line = rng.choice((0, rng.randint(1, 40)))
-    if kind == "qplate":
-        # shifts up to 20, now and then one beyond any truncation, rarely 2q not integral
-        n = rng.randint(-20, 20) if rng.random() < 0.93 else rng.randint(-2400, 2400)
-        q = _pick(rng, (Fraction(n, 2),), (Fraction(1, 3),))
-        return QPlateStmt(q, _pick(rng, (1.0, 1.0, 0.9, 0.5), (0.0, 1.5)), line=line)
-    if kind == "hwp":
-        aperture = rng.choice((el.APERTURE_FULL, el.APERTURE_L0, el.APERTURE_L0))
-        crosstalk = _pick(rng, _CROSSTALKS + (rng.random(),), (1.5, -0.1, math.nan))
-        return HwpStmt(rng.uniform(-4.0, 4.0), aperture, crosstalk, line=line)
-    if kind == "dove":
-        return DoveStmt(_pick(rng, (0.0,), (0.5,)), line=line)
-    return LensStmt(line=line)
-
-
-def random_bench(rng):
-    l_max = rng.choice((None, 0, 1, 2, 3, *range(4, 13), 1001))
-    span = min(DEFAULT_L_MAX if l_max is None else l_max, 12) + _pick(rng, (0,), (1,), 0.1)
-    hologram = None
-    if rng.random() < 0.8:
-        hologram = tuple(rng.sample(range(-span, span + 1), min(rng.randint(1, 3), span + 1)))
-        # rarely empty or with a repeated value
-        hologram = _pick(rng, (hologram,), ((), hologram[:1] * 2))
-    count = rng.randint(0, 8) if rng.random() < 0.995 else MAX_ELEMENTS + 1
-    return BenchFile(
-        l_max=l_max,
-        polarizer=rng.choice((None, "H", "V")),
-        hologram=hologram,
-        elements=tuple(_random_element(rng) for _ in range(count)),
-        measure=rng.choice((None, "pbs", "oam_sorter")),
-    )
-
-
-def test_compile_matches_the_symbolic_trace_on_seeded_benches():
-    rng = random.Random(20261018)
-    kinds = {"same": 0, "a": 0, "b": 0}
-    for _ in range(2400):
-        bench = random_bench(rng)
-        got = outcome(compiled_ops, bench)
-        want = outcome(reference_compile, bench)
-        if got == want:
-            kinds["same"] += 1
-        elif bench.l_max is not None and bench.l_max > MAX_L_MAX:
-            assert want[0] is CompileError and "truncation overflow" in want[1], bench
-            assert got == (TruncationError, f"l_max={bench.l_max} is above the maximum 1000")
-            kinds["b"] += 1
+def test_seeded_benches_match_the_propagator():
+    rng = random.Random(20261020)
+    roles = Counter()
+    # 600 draws at l_max 4-12, then 100 below the floor, where the compiler's
+    # `beyond` mask decides what leaves
+    for draw in range(700):
+        role = rng.choice(("valid", "valid", "overflow"))
+        l_max = rng.randint(4, 12) if draw < 600 else MIN_L_MAX - 1
+        bench = benchtext.generate(role, l_max, rng.randint(2, 20), rng)
+        # the last line is `measure`, and the elements are the lines before it
+        first_line = len(bench.text.splitlines()) - len(bench.chain)
+        kind = assert_agrees(bench.text, l_max, bench.axis, bench.oams, bench.chain, first_line)
+        if role == "overflow":
+            assert kind == ("overflow", *bench.overflow_at), bench.text
         else:
-            traced = guard_aware(bench)
-            assert traced != bench, bench
-            assert got == outcome(lambda b: reference_compile(b, traced), bench), bench
-            kinds["a"] += 1
-    # the seeded set reaches both differences and mostly agrees outright
-    assert kinds["a"] and kinds["b"] and kinds["same"] > 2000, kinds
+            assert kind == ("state" if l_max >= MIN_L_MAX else "floor"), bench.text
+        roles[role] += 1
+    assert roles["valid"] > 400 and roles["overflow"] > 150, roles
+
+
+# benchtext writes every directive, and the seeded test above draws no empty chain
+@pytest.mark.parametrize("text, l_max, axis, oams, chain", [
+    pytest.param("qplate q=1\nhwp theta=0.3 aperture=l0 crosstalk=0.5\nqplate q=-1\n",
+                 6, "V", (0,),
+                 [("qplate", Fraction(1), 1.0), ("hwp_l0", 0.3, 0.5),
+                  ("qplate", Fraction(-1), 1.0)], id="no-directives"),
+    pytest.param("space lmax=5\nprepare polarizer H\nprepare hologram oam=+1,-3\nmeasure pbs\n",
+                 5, "H", (1, -3), [], id="empty-chain"),
+])
+def test_defaults_and_an_empty_chain_match_the_propagator(text, l_max, axis, oams, chain):
+    assert assert_agrees(text, l_max, axis, oams, chain, 1) == "state"
+
+
+def test_the_propagator_gives_the_papers_four_outputs():
+    prop.self_test()
 
 
 # --- the two differences, pinned -------------------------------------------------
@@ -239,36 +185,34 @@ _CROSSTALK_TEXT = (
 )
 
 
+def _crosstalk_chain(eps, q):
+    return [("qplate", Fraction(1), 1.0), ("hwp_l0", 0.0, float(eps)),
+            ("qplate", Fraction(q), 1.0)]
+
+
 @pytest.mark.parametrize("eps,q", [("1e-13", "1"), ("0.99999999999990008", "-1")])
 def test_difference_a_crossed_entry_below_guard_tol_adds_no_mode(eps, q):
-    bench = parse(_CROSSTALK_TEXT.format(eps=eps, q=q))
-    with pytest.raises(CompileError, match="truncation overflow at element 3"):
-        reference_compile(bench)
-    compiled = compile_bench(bench)
+    # the propagator follows the ~1e-13 path to |L,+-4>, which the q-plate moves out
+    with pytest.raises(prop.Overflow) as excinfo:
+        prop.propagate(prop.prepare("V", (2, -2)), _crosstalk_chain(eps, q), 5)
+    assert excinfo.value.index == 3
+    compiled = compile_bench(parse(_CROSSTALK_TEXT.format(eps=eps, q=q)))
     # the runtime guard lets the ~1e-13 leaked amplitude through as well
     apply_chain(compiled.elements, compiled.preparation.initial_state(compiled.space))
 
 
-@pytest.mark.parametrize(
-    "eps,q,ket",
-    [("1e-11", "1", "|L,+4> -> |R,+6>"), ("0.99999999999", "-1", "|L,-4> -> |R,-6>")],
-)
-def test_crossed_entry_above_guard_tol_still_widens(eps, q, ket):
-    bench = parse(_CROSSTALK_TEXT.format(eps=eps, q=q))
-    with pytest.raises(CompileError) as excinfo:
-        compile_bench(bench)
-    assert str(excinfo.value) == (
-        f"truncation overflow at element 3 'qplate' (line 5): {ket} leaves |l| <= 5"
-    )
-    assert outcome(compiled_ops, bench) == outcome(reference_compile, bench)
+@pytest.mark.parametrize("eps,q", [("1e-11", "1"), ("0.99999999999", "-1")])
+def test_crossed_entry_above_guard_tol_still_widens(eps, q):
+    text = _CROSSTALK_TEXT.format(eps=eps, q=q)
+    kind = assert_agrees(text, 5, "V", (2, -2), _crosstalk_chain(eps, q), 3)
+    assert kind == ("overflow", 3, 5)
 
 
 def test_difference_b_lmax_above_the_cap_fails_on_the_cap():
-    bench = parse("space lmax=1001\nprepare hologram oam=0\nqplate q=1000\n")
-    with pytest.raises(CompileError, match=r"\|L,\+0> -> \|R,\+2000> leaves \|l\| <= 1001"):
-        reference_compile(bench)
+    with pytest.raises(prop.Overflow):
+        prop.propagate(prop.prepare("V", (0,)), [("qplate", Fraction(1000), 1.0)], 1001)
     with pytest.raises(TruncationError) as excinfo:
-        compile_bench(bench)
+        compile_bench(parse("space lmax=1001\nprepare hologram oam=0\nqplate q=1000\n"))
     assert str(excinfo.value) == "l_max=1001 is above the maximum 1000"
 
 
@@ -290,8 +234,9 @@ def test_fig2_below_the_lmax_floor_names_the_first_qplate():
 
 
 def test_lmax_floor_error_follows_a_clean_trace():
-    with pytest.raises(TruncationError, match="l_max=2 is below the minimum 4"):
+    with pytest.raises(TruncationError) as excinfo:
         compile_bench(parse("space lmax=2\nprepare hologram oam=-1\nhwp theta=0\ndove\n"))
+    assert str(excinfo.value) == _floor_text(2)
 
 
 def test_qplate_shift_beyond_twice_lmax_is_an_overflow():

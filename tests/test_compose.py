@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from benchgen import random_bench
+from conftest import valid_bench
 from dense import dense, dense_act
 from spinorbit import (
     ORACLE_IDS,
@@ -97,11 +97,11 @@ def test_oracle_chains_match_the_dense_loop_byte_for_byte(l_max):
         assert_same_bytes(compose(chain), dense_compose(chain))
 
 
-def test_random_bench_chains_match_the_dense_loop_byte_for_byte():
+def test_seeded_bench_chains_match_the_dense_loop_byte_for_byte():
     rng = random.Random(51)
     checked = 0
     while checked < 150:
-        elements = compile_bench(random_bench(rng)).elements
+        elements = compile_bench(valid_bench(rng)).elements
         if elements:
             assert_same_bytes(compose(elements), dense_compose(elements))
             checked += 1

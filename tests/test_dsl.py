@@ -89,6 +89,7 @@ def test_empty_value_is_an_error():
         ("prepare polarizer D", "polarizer axis"),
         ("prepare hologram oam=2,,3", "invalid int list"),
         ("prepare lens", "expected 'polarizer' or 'hologram'"),
+        ("prepare", "expected 'polarizer' or 'hologram'"),
     ],
 )
 def test_single_line_errors(line, fragment):
@@ -195,7 +196,7 @@ _bench_files = st.builds(
 
 @given(_bench_files)
 @settings(max_examples=200)
-def test_round_trip_random_bench_files(bench):
+def test_round_trip_generated_bench_files(bench):
     assert parse(render(bench)) == bench
 
 
@@ -236,14 +237,44 @@ def test_compile_defaults_lmax6_and_l0_preparation():
     assert compiled.preparation.oams == (0,)
 
 
-def test_compile_rejects_crosstalk_out_of_range():
-    with pytest.raises(CompileError, match="crosstalk"):
-        compile_bench(parse("hwp theta=0 aperture=l0 crosstalk=1.5\n"))
+_SHIFT_RULE = "2q must be an integer so the OAM shift stays on the integer lattice"
 
 
-def test_compile_rejects_eta_out_of_range():
-    with pytest.raises(CompileError, match="eta"):
-        compile_bench(parse("qplate q=1 eta=0\n"))
+@pytest.mark.parametrize("bench,message", [
+    pytest.param("qplate q=1/3\n", f"element 1 'qplate' (line 1): {_SHIFT_RULE}; got q=1/3",
+                 id="2q"),
+    pytest.param(BenchFile(elements=(QPlateStmt(Fraction(1, 3)),)),
+                 f"element 1 'qplate': {_SHIFT_RULE}; got q=1/3", id="2q-no-line"),
+    pytest.param("lens\nqplate q=1 eta=0\n",
+                 "element 2 'qplate' (line 2): conversion efficiency eta must lie in (0, 1], got 0.0",
+                 id="eta"),
+    pytest.param("dove angle=0.3\n",
+                 "element 1 'dove' (line 1): only a Dove prism at angle 0 is supported, got 0.3",
+                 id="angle"),
+    pytest.param("hwp theta=1e308\n",
+                 "element 1 'hwp' (line 1): theta must be finite, and so must 2*theta; got 1e+308",
+                 id="theta-non-finite"),
+    pytest.param("hwp theta=0 aperture=l0 crosstalk=1.5\n",
+                 "element 1 'hwp' (line 1): crosstalk must lie in [0, 1], got 1.5", id="crosstalk"),
+    pytest.param("lens\nhwp theta=0 aperture=l0 crosstalk=-0.1\n",
+                 "element 2 'hwp' (line 2): crosstalk must lie in [0, 1], got -0.1",
+                 id="crosstalk-negative"),
+    # the parser rejects a NaN; a BenchFile made in code can hold one
+    pytest.param(BenchFile(elements=(HwpStmt(0.0, el.APERTURE_L0, math.nan),)),
+                 "element 1 'hwp': crosstalk must lie in [0, 1], got nan", id="crosstalk-nan"),
+    pytest.param("space lmax=4\nprepare hologram oam=+5\n",
+                 "prepared OAM l=+5 exceeds the truncation |l| <= 4", id="hologram"),
+    pytest.param("space lmax=1\nprepare hologram oam=+2\n",
+                 "prepared OAM l=+2 exceeds the truncation |l| <= 1", id="hologram-below-floor"),
+    pytest.param(BenchFile(elements=(LensStmt(),) * (dsl.MAX_ELEMENTS + 1)),
+                 f"bench has {dsl.MAX_ELEMENTS + 1} elements; the limit is {dsl.MAX_ELEMENTS}",
+                 id="length"),
+])
+def test_compile_errors_read_in_full(bench, message):
+    with pytest.raises(CompileError) as excinfo:
+        compile_bench(parse(bench) if isinstance(bench, str) else bench)
+    assert type(excinfo.value) is CompileError
+    assert str(excinfo.value) == message
 
 
 def test_compile_names_a_code_built_field_of_the_wrong_type():
@@ -254,21 +285,6 @@ def test_compile_names_a_code_built_field_of_the_wrong_type():
         compile_bench(BenchFile(elements=(HwpStmt(True),)))
     with pytest.raises(CompileError, match="^l_max must be an integer, got '6'$"):
         compile_bench(BenchFile(l_max="6"))
-
-
-def test_compile_rejects_non_integral_2q():
-    with pytest.raises(CompileError, match="2q"):
-        compile_bench(parse("qplate q=1/3\n"))
-
-
-def test_compile_rejects_tilted_dove():
-    with pytest.raises(CompileError, match="angle"):
-        compile_bench(parse("dove angle=0.3\n"))
-
-
-def test_compile_rejects_hologram_outside_truncation():
-    with pytest.raises(CompileError, match="prepared OAM"):
-        compile_bench(parse("space lmax=4\nprepare hologram oam=+5\n"))
 
 
 def test_compile_rejects_duplicate_hologram_values():

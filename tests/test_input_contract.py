@@ -86,6 +86,10 @@ TABLE = (
     ("sample_counts", "probabilities", "weights"),
     ("sample_counts", "shots", "shots"),
     ("sample_counts", "seed", "seed"),
+    ("ModeSpace.contains", "l", "oam"),
+    ("ModeSpace.index", "l", "oam"),
+    ("ModeSpace.basis_label", "index", "index"),
+    ("PhotonState.amplitude", "l", "oam"),
 )
 
 #: exported result records: their number fields are outputs, never checked as input
@@ -111,6 +115,11 @@ CALLS = {
     "run": (lambda **kw: run("cnot", **kw), None),
     "sample_counts": (lambda **kw: sample_counts(**{"probabilities": [0.5, 0.5], "shots": 10,
                                                      "seed": 0, **kw}), None),
+    "ModeSpace.contains": (SPACE.contains, None),
+    "ModeSpace.index": (lambda **kw: SPACE.index("L", **kw), None),
+    "ModeSpace.basis_label": (SPACE.basis_label, None),
+    "PhotonState.amplitude": (lambda **kw: PhotonState(SPACE, _AMPLITUDES).amplitude("R", **kw),
+                              None),
 }
 
 
@@ -190,6 +199,9 @@ KINDS = {
                                            more=(_NEGATIVE,)), TruncationError),
     # an OAM index: a negative one is valid
     "oam": Kind(st.integers(-4, 4), _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2.5)),
+    # a basis index of SPACE; one out of range is an IndexError (test_state)
+    "index": Kind(st.integers(0, SPACE.dimension - 1),
+                  _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2.5)),
     "oams": Kind(st.integers(-4, 4),
                  _bad(*_NOT_NUMBERS, *_NON_FINITE, 1e308, 2.0, 2.5, Whole(5)),
                  wrap=_entry(lambda value: (value,))),
@@ -209,10 +221,17 @@ _NUMBER = re.compile(r"\b(int|float)\b")
 
 
 def _exported():
-    """{name: callable} of what `spinorbit` exports from the five contract modules."""
+    """{name: callable} of what `spinorbit` exports from the five contract modules,
+    with each public method of an exported class that is no result record as
+    "Class.method"."""
     modules = {f"spinorbit.{name}" for name in ("state", "elements", "dsl", "logic", "deutsch")}
-    return {name: obj for name, obj in vars(spinorbit).items()
-            if callable(obj) and getattr(obj, "__module__", None) in modules}
+    exported = {name: obj for name, obj in vars(spinorbit).items()
+                if callable(obj) and getattr(obj, "__module__", None) in modules}
+    for name, obj in list(exported.items()):
+        if inspect.isclass(obj) and name not in RESULTS:
+            exported.update({f"{name}.{method}": fn for method, fn in vars(obj).items()
+                             if callable(fn) and not method.startswith("_")})
+    return exported
 
 
 def test_the_table_covers_every_number_parameter():
@@ -366,6 +385,16 @@ def test_each_input_has_one_rule():
     for lookup in (oracle_class, logical_matrix):
         with pytest.raises(ValueError, match="^unknown oracle 'bogus'"):
             lookup("bogus")
+
+
+def test_a_basis_label_is_made_of_python_ints():
+    # a bool is no index (it was taken as 1), and a numpy index gives a Python l
+    label = SPACE.basis_label(np.int64(3))
+    assert label == ("L", -3) and type(label[1]) is int
+    with pytest.raises(TypeError, match="^index must be an integer, got True$"):
+        SPACE.basis_label(True)
+    with pytest.raises(TypeError, match="^l must be an integer, got True$"):
+        SPACE.contains(True)
 
 
 def test_a_non_sequence_names_its_parameter():

@@ -1,4 +1,4 @@
-"""Invariants of random benches from `benchgen`, element by element.
+"""Invariants of seeded benches from `benchmarks/benchtext.py`, element by element.
 
 Spin is counted as s = +1 for L and -1 for R (units of hbar), so a tuned
 q-plate, |L,l> -> |R,l+2q> and |R,l> -> |L,l-2q>, flips s and moves l by
@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from benchgen import random_bench
+from conftest import valid_bench
 from dense import dense
 from spinorbit import TruncationError, apply, basis_state, compile_bench, compose
 from spinorbit.dsl import QPlateStmt
@@ -23,7 +23,7 @@ from spinorbit.state import POLARIZATIONS
 def _benches(count=150, seed=20261018):
     rng = random.Random(seed)
     for _ in range(count):
-        bench = random_bench(rng)
+        bench = valid_bench(rng)
         compiled = compile_bench(bench)
         yield bench, compiled, compiled.preparation.initial_state(compiled.space)
 

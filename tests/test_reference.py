@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinorbit import reference
 from spinorbit.reference import (
     BALANCED,
     BOOLEAN_FUNCTIONS,
@@ -87,3 +88,18 @@ def test_classification_is_deterministic(function):
 def test_state_validates_norm():
     with pytest.raises(ValueError):
         TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_state_validates_shape():
+    with pytest.raises(ValueError, match=r"^need 4 amplitudes over \|x,y>, got shape \(2,\)$"):
+        TwoQubitState(np.array([1.0, 0.0]))
+
+
+def test_classification_fails_loudly_when_the_first_qubit_is_not_certain(monkeypatch):
+    # without the last Hadamard the first qubit reads 0 or 1 with probability 1/2
+    monkeypatch.setattr(reference, "hadamard_first", lambda state: state)
+    with pytest.raises(AssertionError) as info:
+        classify_abstract("identity")
+    head, _, p0 = str(info.value).rpartition("=")
+    assert head == "classification is not deterministic for 'identity': P(first=0)"
+    assert abs(float(p0) - 0.5) <= 1e-12

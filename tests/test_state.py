@@ -113,6 +113,14 @@ def test_index_ordering_documented_formula(space):
     assert len(labels) == space.dimension
 
 
+def test_index_and_basis_label_reject_what_names_no_mode(space):
+    with pytest.raises(ValueError, match="^polarization must be 'L' or 'R', got 'H'$"):
+        space.index("H", 0)
+    for index in (-1, space.dimension):
+        with pytest.raises(IndexError, match=f"^basis index {index} out of range$"):
+            space.basis_label(index)
+
+
 def test_basis_state_unit_amplitude(space):
     state = basis_state(space, LEFT, +2)
     assert state.amplitude(LEFT, +2) == 1.0
@@ -186,6 +194,11 @@ def test_fidelity_self_and_negated(space):
     assert fidelity_up_to_phase(psi, psi) == 1.0
     negated = PhotonState(space, -psi.amplitudes)
     assert fidelity_up_to_phase(psi, negated) == 1.0
+
+
+def test_fidelity_rejects_states_of_two_spaces(space, space4):
+    with pytest.raises(ValueError, match="^states live in different spaces$"):
+        fidelity_up_to_phase(basis_state(space, LEFT, 0), basis_state(space4, LEFT, 0))
 
 
 def test_fidelity_orthogonal_basis_states(space):
@@ -293,6 +306,11 @@ def test_photon_state_requires_normalized_amplitudes(space):
     amps[0] = 0.5
     with pytest.raises(ValueError, match="not normalized"):
         PhotonState(space, amps)
+
+
+def test_photon_state_rejects_a_vector_of_the_wrong_shape(space, space4):
+    with pytest.raises(ValueError, match=r"^amplitude vector has shape \(18,\), expected \(26,\)$"):
+        PhotonState(space, basis_state(space4, LEFT, 0).amplitudes)
 
 
 def test_components_lists_the_amplitudes_above_guard_tol(space):
@@ -417,6 +435,11 @@ def test_element_op_rejects_block_with_unit_but_skew_columns(space):
 def test_element_op_rejects_source_that_is_not_a_permutation(space, source):
     with pytest.raises(ValueError, match="not unitary"):
         ElementOp(space, source=source)
+
+
+def test_element_op_rejects_an_input_mask_of_the_wrong_length(space):
+    with pytest.raises(ValueError, match="^input_mask length must equal the dimension$"):
+        ElementOp(space, input_mask=np.ones(space.dimension - 1, dtype=bool))
 
 
 def test_element_op_errors_name_the_element_and_its_fault():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from benchgen import random_bench
+from conftest import valid_bench
 from dense import dense
 from spinorbit import ORACLE_IDS, apply_chain, build_oracle, compile_bench, compose
 from spinorbit.dsl import DoveStmt, HwpStmt, QPlateStmt
@@ -168,10 +168,10 @@ def test_dove_and_lens_equal_dense_reference(l_max):
 # --- chains against the reference ----------------------------------------------
 
 
-def test_random_benches_match_dense_reference_product():
+def test_seeded_benches_match_dense_reference_product():
     rng = random.Random(20261018)
     for _ in range(150):
-        bench = random_bench(rng)
+        bench = valid_bench(rng)
         compiled = compile_bench(bench)
         space = compiled.space
         initial = compiled.preparation.initial_state(space)
