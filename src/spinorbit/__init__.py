@@ -29,7 +29,6 @@ from .dsl import (
     render,
 )
 from .elements import (
-    DovePrismSpec,
     QPlateSpec,
     WaveplateSpec,
     dove_prism,

@@ -275,14 +275,11 @@ def run(
     _check_eta_and_crosstalk(eta, crosstalk)
     space = make_space(l_max)
     bench = build_oracle(space, oracle_id, eta=eta, crosstalk=crosstalk)
-    probe = prepare_input(space)
-    output = apply_chain(bench.elements, probe)
+    output = apply_chain(bench.elements, prepare_input(space))
 
     p_d1, p_d2 = measure_pbs(output)
     sorter = measure_oam_superposition(output)
-    # a constant oracle's expected output is +-probe, and the fidelity ignores the sign
-    expected = probe if oracle_class(oracle_id) == CONSTANT else expected_output(space, oracle_id)
-    fidelity = fidelity_up_to_phase(output, expected)
+    fidelity = fidelity_up_to_phase(output, expected_output(space, oracle_id))
 
     # the detector's (balanced, constant) ports, then the sorter's residual bucket
     if measurement == PBS:

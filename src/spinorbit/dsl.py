@@ -381,27 +381,20 @@ def _element_name(index: int, stmt: ElementStmt) -> str:
 
 
 #: each keyword's factory, by its name in `elements` so that a wrapper bound there
-#: is called, and its spec class, whose fields are the statement's keys in order
+#: is called, and what makes its spec from the statement's keys in order: the spec
+#: class, or for a Dove prism the rule of its angle, which makes no spec
 _FACTORIES = {
     "qplate": ("qplate", el.QPlateSpec),
     "hwp": ("hwp", el.WaveplateSpec),
-    "dove": ("dove_prism", el.DovePrismSpec),
+    "dove": ("dove_prism", el._check_dove_angle),
     "lens": ("lens", None),
 }
 
 
 def _element_spec(stmt: ElementStmt) -> tuple:
-    """(factory, spec) of a statement, spec None for a lens; the spec checks it."""
-    name, spec = _FACTORIES[stmt.keyword]
-    factory = getattr(el, name)
-    if spec is None:
-        return factory, None
-    return factory, spec(*[getattr(stmt, key) for key in stmt.keys])
-
-
-def _build_element(space: ModeSpace, label: str, factory, spec) -> ElementOp:
-    """The op of an `_element_spec` pair, under `label`."""
-    return factory(space, label=label) if spec is None else factory(space, spec, label=label)
+    """(factory name, spec) of a statement; the spec is None for a lens or a Dove prism."""
+    name, make = _FACTORIES[stmt.keyword]
+    return name, make and make(*[getattr(stmt, key) for key in stmt.keys])
 
 
 def compile_bench(bench: BenchFile) -> CompiledBench:
@@ -446,9 +439,9 @@ def compile_bench(bench: BenchFile) -> CompiledBench:
     occupied = occupied.ravel()
     beyond = abs(np.arange(2 * n) % n - mode_space.l_max) > l_max
     ops = []
-    for index, (stmt, (factory, spec)) in enumerate(zip(bench.elements, specs), start=1):
+    for index, (stmt, (name, spec)) in enumerate(zip(bench.elements, specs), start=1):
         try:
-            op = _build_element(mode_space, f"{stmt.keyword}[{index}]", factory, spec)
+            op = el._build(mode_space, name, spec, f"{stmt.keyword}[{index}]")
         except TruncationError:  # a q-plate shift above 2 * l_max: every mode leaves
             leaving = occupied
         else:

@@ -17,8 +17,7 @@ float builds the bits of the Python float of its value.  The q-plate is keyed
 on the space (equal iff l_max is), 2q and float(eta); the waveplate on the
 space, the aperture and the bytes of float(theta) and float(crosstalk), so a
 hit builds no array; the lens and the Dove prism on the space alone.  A build
-that raises caches nothing, and each factory checks that `space` is a
-ModeSpace before the lookup.
+that raises caches nothing.
 
 Conventions (pinned so the composed gates come out with +1 row phases):
 
@@ -33,9 +32,10 @@ Conventions (pinned so the composed gates come out with +1 row phases):
 * The OAM-selective half-wave plate acts as a full wave plate on the l=0
   block only.  Its imperfection is a residual retardance: on every l != 0
   block it applies diag(1, e^{i*eps*pi}) in H/V, which is the identity at
-  eps=0 and a full half-wave plate at eps=1.
+  eps=0 and a half-wave plate at eps=1 up to rounding: e^{i*pi} rounds to
+  -1+1.22e-16j, so each entry that keeps the polarization is 6.1e-17j.
 * A Dove prism at 0 degrees inverts the OAM index and leaves polarization
-  untouched; other angles are not supported.
+  untouched; other angles are not supported (`_check_dove_angle`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .state import _MEMO_SIZE, ElementOp, ModeSpace, _is_int, _require_numbers, _require_space
+from .state import (
+    _MEMO_SIZE, ElementOp, ModeSpace, _is_int, _require_label, _require_numbers, _require_space,
+)
 
 APERTURE_FULL = "full"
 APERTURE_L0 = "l0_only"
@@ -68,7 +70,7 @@ def _as_fraction(q) -> Fraction:
 
 
 def _check_eta_and_crosstalk(eta: float = 1.0, crosstalk: float = 0.0) -> None:
-    """The eta and crosstalk rules: the specs, `logic.build_oracle` and `deutsch.run` call them."""
+    """The eta and crosstalk rules: the specs and `deutsch.run` call them."""
     _require_numbers(eta=eta, crosstalk=crosstalk)
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"conversion efficiency eta must lie in (0, 1], got {eta!r}")
@@ -124,18 +126,20 @@ class WaveplateSpec:
         _check_eta_and_crosstalk(crosstalk=self.crosstalk)
 
 
-@dataclass(frozen=True)
-class DovePrismSpec:
-    """Dove prism; only the 0-degree orientation is modeled."""
+def _check_dove_angle(angle: float) -> None:
+    """The rule of a Dove prism's angle: only the 0-degree orientation is modeled."""
+    _require_numbers(angle=angle)
+    if angle != 0.0:
+        raise ValueError(f"only a Dove prism at angle 0 is supported, got {angle!r}")
 
-    angle: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require_numbers(angle=self.angle)
-        if self.angle != 0.0:
-            raise ValueError(
-                f"only a Dove prism at angle 0 is supported, got {self.angle!r}"
-            )
+def _require(space, label, spec=None, kind: type = type(None)) -> None:
+    """A factory's checks, before its memo lookup: the space, the spec's type (a lens and
+    a Dove prism take none) and the label, a str or None."""
+    _require_space(space)
+    if not isinstance(spec, kind):
+        raise TypeError(f"spec must be a {kind.__name__}, got {type(spec).__name__}")
+    _require_label(label)
 
 
 def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> ElementOp:
@@ -145,7 +149,8 @@ def qplate(space: ModeSpace, spec: QPlateSpec, label: str | None = None) -> Elem
     kept as fixed points but excluded from the input mask, so the operator
     stays unitary while apply() rejects states that occupy them.
     """
-    return _qplate_op(_require_space(space), spec.oam_shift, float(spec.eta))._relabel(
+    _require(space, label, spec, QPlateSpec)
+    return _qplate_op(space, spec.oam_shift, float(spec.eta))._relabel(
         label or f"qplate(q={spec.q})"
     )
 
@@ -188,7 +193,7 @@ def _retarder_block_circular(crosstalk: float) -> list:
 
 def hwp(space: ModeSpace, spec: WaveplateSpec, label: str | None = None) -> ElementOp:
     """Half-wave plate, full-aperture or acting on the l=0 component only."""
-    _require_space(space)
+    _require(space, label, spec, WaveplateSpec)
     name = label or (
         f"hwp(theta={spec.theta:g})"
         if spec.aperture == APERTURE_FULL
@@ -211,11 +216,10 @@ def _hwp_op(space: ModeSpace, aperture: str, angles: bytes) -> ElementOp:
     return ElementOp(space, label="hwp", blocks=blocks)
 
 
-def dove_prism(
-    space: ModeSpace, spec: DovePrismSpec = DovePrismSpec(), label: str | None = None
-) -> ElementOp:
+def dove_prism(space: ModeSpace, label: str | None = None) -> ElementOp:
     """OAM inversion |pol, l> -> |pol, -l>; polarization untouched."""
-    return _dove_op(_require_space(space))._relabel(label or "dove")
+    _require(space, label)
+    return _dove_op(space)._relabel(label or "dove")
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -225,11 +229,19 @@ def _dove_op(space: ModeSpace) -> ElementOp:
     return ElementOp(space, label="dove", source=source)
 
 
-def lens(space: ModeSpace, label: str = "lens") -> ElementOp:
+def lens(space: ModeSpace, label: str | None = None) -> ElementOp:
     """Identity in the mode-index representation; kept so benches mirror the layout."""
-    return _lens_op(_require_space(space))._relabel(label)
+    _require(space, label)
+    return _lens_op(space)._relabel(label or "lens")
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _lens_op(space: ModeSpace) -> ElementOp:
     return ElementOp(space, label="lens")
+
+
+def _build(space: ModeSpace, name: str, spec, label: str) -> ElementOp:
+    """The op of factory `name` (looked up when called, so a wrapper bound here in its
+    place is called) on `spec`, None for a lens or a Dove prism, under `label`."""
+    factory = globals()[name]
+    return factory(space, label=label) if spec is None else factory(space, spec, label=label)

@@ -10,8 +10,10 @@ Decoding is therefore defined only on these four joint kets, never per
 subsystem.  The four one-query oracles are realized as element chains that
 share the two q-plates and two lenses; waveplates and the Dove prism are
 inserted or removed to select the oracle (`ORACLE_CHAINS`).  `oracle_recipe`
-writes each chain once, as labelled `.bench` statements that `build_oracle`
-builds as `compile_bench` would and the corpus files repeat.
+writes each chain once, as each element's label, factory name and checked
+spec, which the corpus files repeat as `.bench` statements.  `build_oracle`
+calls each element's factory through the `elements` module, so the factory's
+memo is the one cache of an oracle's ops.
 
 `encode` builds each encoded ket once per space, in a private builder memoized
 with `functools.lru_cache` (`_ket`), and shares it after: a state is
@@ -27,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dsl
-from .elements import APERTURE_L0, _check_eta_and_crosstalk
+from . import elements
+from .elements import APERTURE_L0, QPlateSpec, WaveplateSpec
 from .errors import EncodingError, GateBrokenError
 from .state import (
     LEFT,
@@ -131,35 +133,33 @@ ORACLE_CHAINS = {
     "cnot": ("QP1", "L1", "HWP1", "L2", "QP2"),
     "zcnot": ("HWP2", "QP1", "L1", "HWP1", "L2", "QP2", "HWP3"),
 }
-#: the recipe's charge and parameter-free statements (all immutable)
-_Q1, _LENS, _HWP, _DOVE = Fraction(1), dsl.LensStmt(), dsl.HwpStmt(0.0), dsl.DoveStmt()
+#: the q-plates' charge, and the parts of the recipe that take no argument (all immutable)
+_Q1, _HWP = Fraction(1), ("hwp", WaveplateSpec(0.0))
+_LENS, _DOVE = ("lens", None), ("dove_prism", None)
 
 
 def oracle_recipe(
     oracle_id: str, eta: float = 1.0, crosstalk: float = 0.0
-) -> tuple[tuple[str, dsl.ElementStmt], ...]:
-    """(label, statement) pairs of an oracle's chain, in physical order."""
+) -> tuple[tuple[str, str, QPlateSpec | WaveplateSpec | None], ...]:
+    """(label, factory name, spec) of each element of an oracle's chain, in physical
+    order, the spec None for a lens or a Dove prism.  HWP1's spec is made for every
+    oracle, so all four check crosstalk."""
     _oracle_function(oracle_id)
-    qp, hwp1 = dsl.QPlateStmt(_Q1, eta), dsl.HwpStmt(0.0, APERTURE_L0, crosstalk)
-    stmts = {"QP1": qp, "QP2": qp, "L1": _LENS, "L2": _LENS, "HWP1": hwp1, "HWP2": _HWP,
+    qp, hwp1 = ("qplate", QPlateSpec(_Q1, eta)), ("hwp", WaveplateSpec(0.0, APERTURE_L0, crosstalk))
+    parts = {"QP1": qp, "QP2": qp, "L1": _LENS, "L2": _LENS, "HWP1": hwp1, "HWP2": _HWP,
              "HWP3": _HWP, "DP": _DOVE}
-    return tuple([(label, stmts[label]) for label in ORACLE_CHAINS[oracle_id]])
+    return tuple([(label, *parts[label]) for label in ORACLE_CHAINS[oracle_id]])
 
 
 def build_oracle(
     space: ModeSpace, oracle_id: str, eta: float = 1.0, crosstalk: float = 0.0
 ) -> OracleBench:
-    """Build the chain of `oracle_recipe`, each element under its label; a repeated
-    statement (QP2, L2, HWP3) is not built again but its first op `_relabel`ed."""
+    """Build the chain of `oracle_recipe`, each element by its factory under its label."""
     _require_space(space)
-    built, chain = {}, []  # keyed by id(): the recipe repeats a statement as one object
-    for label, stmt in oracle_recipe(oracle_id, eta, crosstalk):
-        first = built.get(id(stmt))
-        chain.append(first._relabel(label) if first is not None else built.setdefault(
-            id(stmt), dsl._build_element(space, label, *dsl._element_spec(stmt))))
-    # only cnot and zcnot insert HWP1, the plate with crosstalk; all four check it
-    _check_eta_and_crosstalk(crosstalk=crosstalk)
-    return OracleBench(oracle_id, tuple(chain))
+    return OracleBench(oracle_id, tuple([
+        elements._build(space, name, spec, label)
+        for label, name, spec in oracle_recipe(oracle_id, eta, crosstalk)
+    ]))
 
 
 def truth_table(

@@ -101,6 +101,11 @@ def _require_numbers(**values) -> None:
             raise TypeError(f"{name} must be a number, got {type(value).__name__}")
 
 
+def _require_label(label) -> None:
+    if label is not None and not isinstance(label, str):
+        raise TypeError(f"label must be a str or None, got {type(label).__name__}")
+
+
 def _check_l_max(l_max) -> int:
     """`l_max` as an int in [MIN_L_MAX, MAX_L_MAX]: the one rule of a truncation."""
     l_max = _require_int("l_max", l_max)
@@ -251,7 +256,7 @@ class ElementOp:
         space: ModeSpace,
         *,
         survival_factor: float = 1.0,
-        label: str = "",
+        label: str | None = "",
         input_mask: np.ndarray | None = None,
         source: np.ndarray | None = None,
         blocks: np.ndarray | None = None,
@@ -293,6 +298,7 @@ class ElementOp:
 
     def _setup(self, space, survival_factor, label, factors=None) -> None:
         _require_space(space)
+        _require_label(label)
         _require_numbers(survival_factor=survival_factor)
         # written so that a NaN factor fails too; a composite's product can underflow to 0
         if not (0.0 < survival_factor <= 1.0 or factors and survival_factor == 0.0):

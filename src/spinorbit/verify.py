@@ -10,15 +10,7 @@ import numpy as np
 
 from . import deutsch, reference
 from .elements import (
-    APERTURE_FULL,
-    APERTURE_L0,
-    DovePrismSpec,
-    QPlateSpec,
-    WaveplateSpec,
-    dove_prism,
-    hwp,
-    lens,
-    qplate,
+    APERTURE_FULL, APERTURE_L0, QPlateSpec, WaveplateSpec, dove_prism, hwp, lens, qplate,
 )
 from .logic import ORACLE_IDS, _BIT_ORDER, build_oracle, logical_matrix, truth_table
 from .state import UNITARITY_TOL, make_space
@@ -54,7 +46,7 @@ def verify_truth_tables(l_max: int = 6) -> list[CheckResult]:
 def verify_unitarity(l_max: int = 6) -> list[CheckResult]:
     """U+U = I at 1e-12 for every element factory over a parameter grid."""
     space = make_space(l_max)
-    ops = [lens(space), dove_prism(space, DovePrismSpec())]
+    ops = [lens(space), dove_prism(space)]
     for q in (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(3, 2)):
         for eta in (1.0, 0.97):
             ops.append(qplate(space, QPlateSpec(q, eta)))

@@ -40,7 +40,6 @@ from spinorbit.deutsch import (
 from spinorbit.elements import (
     APERTURE_FULL,
     APERTURE_L0,
-    DovePrismSpec,
     QPlateSpec,
     WaveplateSpec,
     dove_prism,
@@ -153,7 +152,7 @@ def test_criterion_06_operator_hygiene():
         hwp(SPACE, WaveplateSpec(0.31, APERTURE_FULL)),
         hwp(SPACE, WaveplateSpec(0.0, APERTURE_L0, 0.0)),
         hwp(SPACE, WaveplateSpec(0.0, APERTURE_L0, 0.7)),
-        dove_prism(SPACE, DovePrismSpec()),
+        dove_prism(SPACE),
         lens(SPACE),
     ]
     unitarity = max(

@@ -532,9 +532,9 @@ def test_verify_unitarity_fails_a_gather_that_is_not_a_permutation(monkeypatch):
 
     real = verify.dove_prism
 
-    def dove_prism(space, spec):
+    def dove_prism(space):
         # a prism the constructor accepted, then given a repeated index
-        op = real(space, spec)
+        op = real(space)
         source = np.array(op.source)
         source[0] = source[1]
         object.__setattr__(op, "source", source)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 from importlib import resources
@@ -323,11 +324,13 @@ def test_preparation_stores_its_oams_as_a_tuple():
 
 # --- the element key tables -------------------------------------------------------
 
-#: each statement class's spec class, and one line that sets every key off its default
+#: each statement class, what makes its spec (the spec class, or the Dove prism's rule,
+#: which makes none), and one line that sets every key off its default (the Dove
+#: prism's one angle is its default)
 _ELEMENT_CASES = [
     pytest.param(QPlateStmt, el.QPlateSpec, "qplate q=-1/2 eta=0.5", id="qplate"),
     pytest.param(HwpStmt, el.WaveplateSpec, "hwp theta=0.25 aperture=l0 crosstalk=0.5", id="hwp"),
-    pytest.param(DoveStmt, el.DovePrismSpec, "dove", id="dove"),
+    pytest.param(DoveStmt, el._check_dove_angle, "dove", id="dove"),
     pytest.param(LensStmt, None, "lens", id="lens"),
 ]
 
@@ -336,7 +339,7 @@ _ELEMENT_CASES = [
 def test_key_table_matches_the_statement_and_its_spec(stmt, spec, line):
     fields = [f.name for f in dataclasses.fields(stmt)]
     assert fields == [*stmt.keys, "line"]
-    assert list(stmt.keys) == ([f.name for f in dataclasses.fields(spec)] if spec else [])
+    assert list(stmt.keys) == (list(inspect.signature(spec).parameters) if spec else [])
     # the required keys are the fields without a default
     assert list(stmt.required) == [
         f.name for f in dataclasses.fields(stmt) if f.default is dataclasses.MISSING
@@ -363,9 +366,9 @@ def test_each_element_keyword_parses_renders_and_builds(stmt, spec, line):
     assert parsed.render() == line
     assert render(bench) == f"space lmax=6\n{line}\n"
     # the spec gets each key by position; by name it must be the same spec
-    factory, built = dsl._element_spec(parsed)
+    name, built = dsl._element_spec(parsed)
     expected = spec(**{key: getattr(parsed, key) for key in stmt.keys}) if spec else None
-    assert built == expected
+    assert (name, built) == (dsl._FACTORIES[stmt.keyword][0], expected)
     (op,) = compile_bench(bench).elements
     assert op.label == f"{stmt.keyword}[1]"
 

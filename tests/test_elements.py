@@ -8,19 +8,23 @@ from dense import dense
 from hypothesis import given, strategies as st
 
 from spinorbit import (
+    BenchFile,
+    CompileError,
     TruncationError,
     apply,
     apply_chain,
     basis_state,
     build_oracle,
+    compile_bench,
     elements,
     make_space,
     measure_pbs,
+    parse,
 )
+from spinorbit.dsl import DoveStmt
 from spinorbit.elements import (
     APERTURE_FULL,
     APERTURE_L0,
-    DovePrismSpec,
     QPlateSpec,
     WaveplateSpec,
     dove_prism,
@@ -203,10 +207,23 @@ def test_hwp_l0_only_leaves_other_oam_untouched(space):
 
 
 def test_hwp_full_crosstalk_acts_everywhere(space):
-    # retardance eps*pi at eps=1 equals a full half-wave plate on l != 0 too
+    # retardance eps*pi at eps=1 is a half-wave plate on l != 0 too, up to rounding
     op = hwp(space, WaveplateSpec(0.0, APERTURE_L0, crosstalk=1.0))
     out = apply(op, basis_state(space, LEFT, +4))
     assert abs(abs(out.amplitude(RIGHT, +4)) - 1.0) <= 1e-12
+
+
+def test_the_crosstalk_1_retarder_is_a_half_wave_plate_up_to_rounding(space):
+    # e^{i*pi} rounds to -1+1.22e-16j: each entry that keeps the polarization is
+    # 6.1e-17j, not 0, and each that flips it 1-6.1e-17j; these bits are pinned
+    stay, flip = complex(0.0, 6.123233995736766e-17), complex(1.0, -6.123233995736766e-17)
+    assert stay.imag.hex() == "0x1.1a62633145c07p-54"
+    want = [[stay, flip], [flip, stay]]
+    bits = [[(z.real.hex(), z.imag.hex()) for z in row]
+            for row in (*elements._retarder_block_circular(1.0), *want)]
+    assert bits[:2] == bits[2:]
+    op = hwp(space, WaveplateSpec(0.0, APERTURE_L0, 1.0))
+    assert op.blocks[0].tobytes() == np.array(want).tobytes()
 
 
 def test_hwp_crosstalk_block_monotone_in_eps(space):
@@ -242,7 +259,6 @@ def test_waveplate_spec_validation():
         (lambda: WaveplateSpec(True), "theta"),
         (lambda: WaveplateSpec(0.0, APERTURE_L0, True), "crosstalk"),
         (lambda: WaveplateSpec(0.0, APERTURE_FULL, crosstalk=False), "crosstalk"),
-        (lambda: DovePrismSpec(False), "angle"),
     ],
 )
 def test_specs_reject_a_bool_number(make, name):
@@ -296,8 +312,21 @@ def test_dove_is_involution(space):
 
 
 def test_dove_rejects_tilt():
-    with pytest.raises(ValueError, match="angle 0"):
-        DovePrismSpec(0.1)
+    with pytest.raises(CompileError, match="^element 2 'dove' \\(line 2\\): only a Dove prism at "
+                                           "angle 0 is supported, got 0.1$"):
+        compile_bench(parse("lens\ndove angle=0.1\n"))
+
+
+@pytest.mark.parametrize("angle, error", [
+    (False, "angle must be a number, not a bool"),
+    (math.nan, "only a Dove prism at angle 0 is supported, got nan"),
+    (-0.5, "only a Dove prism at angle 0 is supported, got -0.5"),
+])
+def test_a_dove_angle_other_than_0_is_a_compile_error(angle, error):
+    # `dove angle=` is checked by the one rule of elements, and only by compile_bench
+    with pytest.raises(CompileError, match=f"^element 1 'dove': {error}$"):
+        compile_bench(BenchFile(elements=(DoveStmt(angle),)))
+    assert compile_bench(BenchFile(elements=(DoveStmt(-0.0),))).elements[0].label == "dove[1]"
 
 
 def test_lens_is_identity(space):
@@ -429,7 +458,7 @@ _EQUAL_SPECS = [
      lambda s: hwp(s, WaveplateSpec(0.3, APERTURE_L0, -0.0))),
     (lambda s: qplate(s, QPlateSpec(Fraction(-1, 2))),
      lambda s: qplate(s, QPlateSpec(-0.5), "QP2")),
-    (lambda s: dove_prism(s), lambda s: dove_prism(s, DovePrismSpec(), "DP")),
+    (lambda s: dove_prism(s), lambda s: dove_prism(s, "DP")),
     (lambda s: lens(s), lambda s: lens(s, "L2")),
 ]
 

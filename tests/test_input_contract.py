@@ -2,7 +2,8 @@
 
 Every number-taking parameter of what `spinorbit` exports from `state`,
 `elements`, `dsl`, `logic` and `deutsch` is listed in `TABLE` with the kind of
-value it takes.  Hypothesis (MacIver, Hatfield-Dodds et al., JOSS 4(43), 1891,
+value it takes, and so is each `.bench` key that no exported callable takes:
+the Dove prism's `angle`, which `compile_bench` checks.  Hypothesis (MacIver, Hatfield-Dodds et al., JOSS 4(43), 1891,
 2019) feeds each one the values its kind forbids: bools, NaN, +-inf, 1e308,
 negatives, strings, None and complex numbers.  Each must raise a TypeError or
 ValueError that names the parameter, or the SpinOrbitError its rule defines.
@@ -26,7 +27,6 @@ import spinorbit
 from spinorbit import (
     BenchFile,
     CompileError,
-    DovePrismSpec,
     ElementOp,
     EncodingError,
     ModeSpace,
@@ -40,6 +40,7 @@ from spinorbit import (
     build_oracle,
     classify,
     compile_bench,
+    compose,
     dove_prism,
     encode,
     expected_output,
@@ -53,12 +54,14 @@ from spinorbit import (
     run,
     sample_counts,
 )
+from spinorbit.dsl import DoveStmt
 from spinorbit.elements import APERTURE_L0
 
 SPACE = make_space(6)
 _AMPLITUDES = basis_state(SPACE, "L", 0).amplitudes
 
-#: (exported callable, parameter, kind) for every parameter that takes a number
+#: (exported callable, parameter, kind) for every parameter that takes a number, and
+#: (statement class, key, kind) for a `.bench` key that only `compile_bench` checks
 TABLE = (
     ("ModeSpace", "l_max", "l_max"),
     ("make_space", "l_max", "l_max"),
@@ -69,7 +72,7 @@ TABLE = (
     ("QPlateSpec", "eta", "efficiency"),
     ("WaveplateSpec", "theta", "angle"),
     ("WaveplateSpec", "crosstalk", "unit"),
-    ("DovePrismSpec", "angle", "zero"),
+    ("DoveStmt", "angle", "zero"),
     ("BenchFile", "l_max", "l_max"),
     ("BenchFile", "hologram", "oams"),
     ("Preparation", "oams", "oams"),
@@ -94,6 +97,8 @@ TABLE = (
 
 #: exported result records: their number fields are outputs, never checked as input
 RESULTS = {"OamSorterProbs", "ParseError", "RunReport", "ShotTally"}
+#: the statements of `.bench` keys that no exported callable takes
+STATEMENTS = {"DoveStmt": DoveStmt}
 
 #: each callable with one keyword set, and the SpinOrbitError its rule may raise
 #: in place of naming the parameter (a BenchFile is checked by compile_bench)
@@ -105,7 +110,8 @@ CALLS = {
     "basis_state": (lambda **kw: basis_state(SPACE, "L", **kw), None),
     "QPlateSpec": (lambda **kw: QPlateSpec(**{"q": 1, **kw}), None),
     "WaveplateSpec": (lambda **kw: WaveplateSpec(**{"theta": 0.3, **kw}), None),
-    "DovePrismSpec": (DovePrismSpec, None),
+    # no CompileError in place of the name: the message names `angle`
+    "DoveStmt": (lambda **kw: compile_bench(BenchFile(elements=(DoveStmt(**kw),))), None),
     "BenchFile": (lambda **kw: compile_bench(BenchFile(**kw)), CompileError),
     "Preparation": (Preparation, None),
     "build_oracle": (lambda **kw: build_oracle(SPACE, "cnot", **kw), None),
@@ -244,15 +250,17 @@ def test_the_table_covers_every_number_parameter():
             if name not in RESULTS and _NUMBER.search(str(parameter.annotation)):
                 annotated.add((name, parameter.name))
     assert annotated - listed == set()
-    # and every row names a real parameter of an exported callable
+    # and every row names a real parameter of an exported callable, or a statement's key
     assert all(parameter in inspect.signature(exported[name]).parameters
+               if name in exported else parameter in STATEMENTS[name].keys
                for name, parameter in listed)
     assert RESULTS <= set(exported) and set(CALLS) == {name for name, _, _ in TABLE}
     assert {kind for _, _, kind in TABLE} == set(KINDS)
 
 
 def _optional(name: str, parameter: str) -> bool:
-    return "None" in str(inspect.signature(_exported()[name]).parameters[parameter].annotation)
+    obj = STATEMENTS.get(name) or _exported()[name]
+    return "None" in str(inspect.signature(obj).parameters[parameter].annotation)
 
 
 def _has_numpy_copy(value) -> bool:
@@ -355,7 +363,6 @@ BIT_CALLS = {
     "QPlateSpec": lambda **kw: qplate(SPACE, QPlateSpec(**{"q": 1, **kw})),
     "WaveplateSpec": lambda **kw: hwp(SPACE, WaveplateSpec(**{"theta": 0.3,
                                                               "aperture": APERTURE_L0, **kw})),
-    "DovePrismSpec": lambda **kw: dove_prism(SPACE, DovePrismSpec(**kw)),
 }
 
 
@@ -452,3 +459,54 @@ def test_a_space_built_directly_gives_the_memo_spaces_result(name):
     built = SPACE_CALLS[name](ModeSpace(6))
     assert _canonical(built) == _canonical(SPACE_CALLS[name](make_space(6)))
     assert _canonical(SPACE_CALLS[name](ModeSpace(6))) == _canonical(built)
+
+
+#: every exported factory that takes a spec, on the spec given
+SPEC_CALLS = {
+    "qplate": lambda spec: qplate(SPACE, spec),
+    "hwp": lambda spec: hwp(SPACE, spec),
+}
+#: every exported callable that takes a label, on the label given
+LABEL_CALLS = {
+    "ElementOp": lambda label: ElementOp(SPACE, label=label),
+    "qplate": lambda label: qplate(SPACE, QPlateSpec(1), label),
+    "hwp": lambda label: hwp(SPACE, WaveplateSpec(0.3, APERTURE_L0, 0.2), label),
+    "dove_prism": lambda label: dove_prism(SPACE, label),
+    "lens": lambda label: lens(SPACE, label),
+}
+
+
+def test_the_spec_and_label_tables_cover_every_such_parameter():
+    def taking(parameter):
+        return {name for name, obj in _exported().items()
+                if parameter in inspect.signature(obj).parameters}
+
+    assert taking("spec") == set(SPEC_CALLS)
+    assert taking("label") == set(LABEL_CALLS)
+
+
+@pytest.mark.parametrize("name, spec", [
+    pytest.param(name, spec, id=f"{name}-{spec!r}") for name in SPEC_CALLS
+    for spec in (None, 1, "q=1", QPlateSpec(1) if name == "hwp" else WaveplateSpec(0.0))])
+def test_a_spec_of_the_wrong_type_raises_a_type_error_naming_it(name, spec):
+    want = "QPlateSpec" if name == "qplate" else "WaveplateSpec"
+    for _ in range(2):  # and again: nothing was cached
+        with pytest.raises(TypeError, match=rf"^spec must be a {want}, got {type(spec).__name__}$"):
+            SPEC_CALLS[name](spec)
+
+
+@pytest.mark.parametrize("name, label", [
+    pytest.param(name, label, id=f"{name}-{label!r}") for name in LABEL_CALLS
+    for label in (7, 0, 1.5, True, b"QP1", ["QP1"])])
+def test_a_label_that_is_no_str_raises_a_type_error_naming_it(name, label):
+    # 0 and False were taken as no label, and 7 made a label that `compose` could not join
+    with pytest.raises(TypeError, match=rf"^label must be a str or None, got {type(label).__name__}$"):
+        LABEL_CALLS[name](label)
+
+
+@pytest.mark.parametrize("name", LABEL_CALLS)
+def test_a_label_of_none_or_a_str_is_taken(name):
+    # a factory gives its default label for None, as for an empty str; ElementOp keeps it
+    unnamed = LABEL_CALLS[name](None).label
+    assert unnamed == (None if name == "ElementOp" else LABEL_CALLS[name]("").label)
+    assert compose([LABEL_CALLS[name]("X"), lens(SPACE)]).label == "X -> lens"

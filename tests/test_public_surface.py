@@ -40,10 +40,9 @@ SURFACE = {
     "parse_with_errors": ("text",),
     "render": ("bench",),
     # elements
-    "DovePrismSpec": ("angle",),
     "QPlateSpec": ("q", "eta"),
     "WaveplateSpec": ("theta", "aperture", "crosstalk"),
-    "dove_prism": ("space", "spec", "label"),
+    "dove_prism": ("space", "label"),
     "hwp": ("space", "spec", "label"),
     "lens": ("space", "label"),
     "qplate": ("space", "spec", "label"),
