@@ -120,9 +120,13 @@ def _pairs(fields: dict, *keys: str) -> str:
     )
 
 
-def _report_text(report: deutsch.RunReport) -> list[str]:
-    """`report.to_dict()` under its JSON names and order; the threshold is not shown."""
-    fields = report.to_dict()
+def _emit(args, document: dict, text) -> None:
+    """Print `document` as JSON under --json, else the lines `text` renders from it."""
+    print(json.dumps(document, indent=2) if args.json else "\n".join(text(document)))
+
+
+def _report_text(fields: dict) -> list[str]:
+    """One `RunReport.to_dict()` under its JSON names and order; the threshold is not shown."""
     lines = [
         _pairs(fields, "oracle", "measurement", "verdict"),
         "  " + _pairs(fields, "p_D1", "p_D2", "survival"),
@@ -163,11 +167,7 @@ def cmd_deutsch(args) -> int:
         },
         "results": [r.to_dict() for r in reports],
     }
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        for report in reports:
-            print("\n".join(_report_text(report)))
+    _emit(args, document, lambda doc: [line for r in doc["results"] for line in _report_text(r)])
     if args.verify:
         failures = [f for r in reports for f in _verify_report(r)]
         for failure in failures:
@@ -202,13 +202,13 @@ def _read_bench_file(args) -> tuple[Path, str]:
     byte more than the limit is read (the file's reported size is not trusted).
     """
     candidates = (Path(args.file), _corpus_dir(args.corpus) / args.file)
-    # only regular files: a directory of that name is not a bench
-    path = next((p for p in candidates if p.is_file()), None)
-    if path is None:
-        folders = [p for p in candidates if p.is_dir()]
-        problem = f"{folders[0]} is a directory" if folders else f"not found: {args.file}"
-        raise _UnreadableBench(f"bench file {problem}")
     try:
+        # only regular files: a directory of that name is not a bench
+        path = next((p for p in candidates if p.is_file()), None)
+        if path is None:
+            folders = [p for p in candidates if p.is_dir()]
+            problem = f"{folders[0]} is a directory" if folders else f"not found: {args.file}"
+            raise _UnreadableBench(f"bench file {problem}")
         with path.open("rb") as handle:
             data = handle.read(dsl.MAX_BENCH_BYTES + 1)
         if len(data) > dsl.MAX_BENCH_BYTES:
@@ -223,8 +223,9 @@ def _read_bench_file(args) -> tuple[Path, str]:
             f"bench file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
     except OSError as exc:
+        # the file the error names: a name too long fails in the lookup already
         raise _UnreadableBench(
-            f"cannot read bench file {path}: {exc.strerror or exc}"
+            f"cannot read bench file {exc.filename or args.file}: {exc.strerror or exc}"
         ) from None
 
 
@@ -304,20 +305,21 @@ def cmd_bench_run(args) -> int:
         },
         "measurement": measurement,
     }
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        print(f"file: {path}")
-        print(f"input: {input_desc}")
-        print("output amplitudes:")
-        for amp in amplitudes:
-            print(f"  |{amp['pol']},{amp['l']:+d}>  {_fmt(amp['re'])} {_fmt(amp['im'])}j")
-        print(f"survival={_fmt(output.survival)}")
-        print(f"fidelity_vs_input={_fmt(document['output']['fidelity_vs_input'])}")
-        if measurement is not None:
-            pairs = _pairs({k: v for k, v in measurement.items() if k != "kind"})
-            print(f"measurement[{measurement['kind']}]: {pairs}")
+    _emit(args, document, _bench_run_text)
     return EXIT_OK
+
+
+def _bench_run_text(document: dict) -> list[str]:
+    """The `bench run` document as text: one line per amplitude, the rest as `key=value`."""
+    output, measurement = document["output"], document["measurement"]
+    lines = [f"file: {document['file']}", f"input: {document['input']}", "output amplitudes:"]
+    lines += [f"  |{a['pol']},{a['l']:+d}>  {_fmt(a['re'])} {_fmt(a['im'])}j"
+              for a in output["amplitudes"]]
+    lines += [_pairs(output, "survival"), _pairs(output, "fidelity_vs_input")]
+    if measurement is not None:
+        ports = [key for key in measurement if key != "kind"]
+        lines.append(f"measurement[{measurement['kind']}]: {_pairs(measurement, *ports)}")
+    return lines
 
 
 def cmd_bench_check(args) -> int:
@@ -334,13 +336,10 @@ def cmd_bench_check(args) -> int:
         "elements": len(compiled.elements),
         "measure": compiled.measure,
     }
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        print(
-            f"ok: {path} (l_max={summary['l_max']}, {summary['elements']} elements, "
-            f"measure={summary['measure']})"
-        )
+    _emit(args, summary, lambda doc: [
+        f"ok: {doc['file']} (l_max={doc['l_max']}, {doc['elements']} elements, "
+        f"measure={doc['measure']})"
+    ])
     return EXIT_OK
 
 

@@ -40,6 +40,7 @@ from .state import (
     _INV_SQRT2,
     _MEMO_SIZE,
     _is_int,
+    _norm_squared,
     _require_numbers,
     _require_space,
     apply_chain,
@@ -102,25 +103,16 @@ def _expected(space: ModeSpace, oracle_id: str) -> PhotonState:
     return PhotonState(space, sign * base)
 
 
-#: <H| and <V| as (1, 2) rows, stacked for one batched matmul over OAM
-_PBS_BRAS = np.stack((H_CIRCULAR, V_CIRCULAR)).conj().reshape(2, 1, 1, 2)
+#: <H| and <V| as the rows of one matrix, built once: a stack per call costs
+#: more than the product it feeds at small l_max
+_HV_BRAS = np.stack((H_CIRCULAR, V_CIRCULAR)).conj()
 
 
 def measure_pbs(state: PhotonState) -> tuple[float, float]:
-    """(p_D1, p_D2): squared norms of the H and V projections across all OAM.
-
-    All projections <H|pair_l>, <V|pair_l> come from one batched matmul over
-    the (L, R) pair of each l.  Each step keeps the rounding of a per-l
-    ``abs(np.vdot(bra, pair)) ** 2`` loop, so the result is bit-identical to
-    it: the (1, 2) @ (2, 1) products, `np.hypot` for the modulus (`np.abs` on
-    an array rounds differently), `np.float_power` for the square (libm ``pow``
-    like ``** 2``; ``x * x`` differs) and `cumsum` to sum in l order.
-    """
-    n_oam = state.space.n_oam
-    pairs = state.amplitudes.reshape(2, n_oam).T.reshape(n_oam, 2, 1)
-    projections = np.matmul(_PBS_BRAS, pairs)
-    moduli = np.hypot(projections.real, projections.imag).reshape(2, n_oam)
-    return tuple(np.float_power(moduli, 2.0).cumsum(axis=1)[:, -1].tolist())
+    """(p_D1, p_D2): squared norms of the H and V projections across all OAM, from
+    one product of <H| and <V| with the (L, R) pair of every l."""
+    h, v = _HV_BRAS @ state.amplitudes.reshape(2, state.space.n_oam)
+    return _norm_squared(h), _norm_squared(v)
 
 
 class OamSorterProbs(NamedTuple):

@@ -133,9 +133,6 @@ class ModeSpace:
         object.__setattr__(self, "n_oam", 2 * self.l_max + 1)
         object.__setattr__(self, "dimension", 2 * self.n_oam)
 
-    def contains(self, l: int) -> bool:
-        return -self.l_max <= _require_int("l", l) <= self.l_max
-
     def index(self, pol: str, l: int) -> int:
         if pol not in POLARIZATIONS:
             raise ValueError(f"polarization must be 'L' or 'R', got {pol!r}")
@@ -218,9 +215,15 @@ class PhotonState:
                 yield pol, l, complex(a)
 
 
+def _norm_squared(amps: np.ndarray) -> float:
+    """sum |a|^2 over a complex array, as a Python float: np.linalg.norm's
+    arithmetic for a complex vector, before its square root, without its dispatch."""
+    re, im = amps.real, amps.imag
+    return float(re.dot(re) + im.dot(im))
+
+
 def _norm(amps: np.ndarray) -> float:
-    # np.linalg.norm's arithmetic for a complex vector, without its dispatch
-    return math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
+    return math.sqrt(_norm_squared(amps))
 
 
 def basis_state(space: ModeSpace, pol: str, l: int) -> PhotonState:

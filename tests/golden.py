@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 
 from spinorbit import ORACLE_IDS, SpinOrbitError, build_oracle, make_space, run, truth_table
@@ -33,6 +34,11 @@ L_MAXES = (4, 6, 64, 1000)
 MEASUREMENTS = ("pbs", "oam")
 SHOTS = (None, 1000)
 SEED = 3
+
+#: how far a float may move from the dump, in ulps of 1.0 (2**-50, ~8.9e-16):
+#: every float in it lies in [-1, 1] and is rounded on the scale of 1
+ULPS = 4
+BOUND = ULPS * math.ulp(1.0)
 
 
 def records():

@@ -204,9 +204,22 @@ def test_bench_unreadable_file_exits_1(tmp_path, capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
-@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_bench_name_too_long_exits_1(tmp_path, capsys, command):
+    # a name above the system's limit fails in the lookup, before a file is opened
+    long_file, long_corpus = tmp_path / ("x" * 300 + ".bench"), tmp_path / ("d" * 300)
+    for argv, named in (
+        ((str(long_file),), long_file),
+        (("zcnot.bench", "--corpus", str(long_corpus)), long_corpus / "zcnot.bench"),
+    ):
+        code, out, err = run_cli(capsys, "bench", command, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"spinorbit bench: cannot read bench file {named}: File name too long\n"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8", "name too long"])
 def test_bench_json_unreadable_file_prints_the_errors_document(tmp_path, capsys, command, kind):
-    path = tmp_path / "x.bench"
+    path = tmp_path / ("x" * 300 + ".bench" if kind == "name too long" else "x.bench")
     if kind == "directory":
         path.mkdir()
     elif kind == "not utf-8":

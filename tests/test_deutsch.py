@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from conftest import package_memos
+from golden import BOUND
 from hypothesis import assume, given, settings, strategies as st
 
 from spinorbit import (
@@ -84,7 +85,7 @@ def test_measure_pbs_sums_to_one_on_random_states(space):
 
 
 def measure_pbs_loop(state):
-    """The per-l loop `measure_pbs` replaced: the bit-exact reference."""
+    """The per-l loop `measure_pbs` replaced, summed in l order."""
     p_h = 0.0
     p_v = 0.0
     for l in range(-state.space.l_max, state.space.l_max + 1):
@@ -132,8 +133,8 @@ def _oracle_outputs(draw):
 
 @given(st.one_of(_random_states(), _oracle_outputs()))
 @settings(max_examples=300, deadline=None)
-def test_measure_pbs_equals_per_l_loop_exactly(state):
-    assert measure_pbs(state) == measure_pbs_loop(state)
+def test_measure_pbs_is_within_the_golden_bound_of_the_per_l_loop(state):
+    assert all(abs(p - q) <= BOUND for p, q in zip(measure_pbs(state), measure_pbs_loop(state)))
 
 
 def test_oam_sorter_on_ideal_outputs(space):
@@ -263,18 +264,15 @@ def test_classify_allows_the_roundoff_of_a_unit_vector():
 
 
 def measure_pbs_python_sum(state):
-    """`measure_pbs` before its sum was vectorized: Python squares, summed in l order."""
+    """`measure_pbs` as a per-l loop: the modulus of each projection, squared in
+    Python, the squares summed in l order by `math.fsum`, which rounds once.  A
+    plain running sum is itself up to 4.5 ulp of 1.0 off at l_max 1000 on the
+    full supports below, more than `golden.BOUND` leaves for `measure_pbs`."""
     n_oam = state.space.n_oam
     pairs = state.amplitudes.reshape(2, n_oam).T.reshape(n_oam, 2, 1)
     projections = np.matmul(np.stack((H_CIRCULAR, V_CIRCULAR)).conj().reshape(2, 1, 1, 2), pairs)
     moduli = np.hypot(projections.real, projections.imag).reshape(2, n_oam).tolist()
-    sums = []
-    for row in moduli:
-        total = 0.0
-        for m in row:
-            total += m ** 2
-        sums.append(total)
-    return tuple(sums)
+    return tuple(math.fsum(m ** 2 for m in row) for row in moduli)
 
 
 def _sparse_state(space, rng, density):
@@ -286,7 +284,7 @@ def _sparse_state(space, rng, density):
 
 
 @pytest.mark.parametrize("l_max", [4, 6, 64, 1000])
-def test_measure_pbs_keeps_the_bits_of_the_python_sum(l_max):
+def test_measure_pbs_is_within_the_golden_bound_of_the_python_sum(l_max):
     space = make_space(l_max)
     rng = np.random.default_rng(l_max)
     # zeros included: one port empty, sparse supports, every mode occupied
@@ -294,8 +292,11 @@ def test_measure_pbs_keeps_the_bits_of_the_python_sum(l_max):
     states += [_sparse_state(space, rng, density) for density in (0.0, 0.05, 0.5, 1.0) * 10]
     for state in states:
         new, old = measure_pbs(state), measure_pbs_python_sum(state)
-        assert [p.hex() for p in new] == [p.hex() for p in old]
-        assert all(type(p) is float for p in new)
+        assert all(abs(p - q) <= BOUND for p, q in zip(new, old)), (new, old)
+        # an empty port stays an exact zero, and no port is ever -0.0
+        assert [p == 0.0 for p in new] == [q == 0.0 for q in old]
+        assert all(type(p) is float and math.copysign(1.0, p) == 1.0 for p in new)
+        assert abs(sum(new) - 1.0) <= 1e-12
 
 
 def test_shot_tallies_are_seed_reproducible():

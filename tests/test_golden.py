@@ -2,9 +2,10 @@
 
 Everything but a float must match exactly: verdicts, labels, shot tallies,
 truth-table bits, error texts and the records' order.  A float matches when it
-lies within `BOUND` of the dump's value.  Every float in the dump is a
-probability, a fidelity, a survival, a phase part or an argument, all in
-[-1, 1] and rounded on the scale of 1, so the bound is counted in ulps of 1.0.
+lies within `golden.BOUND`, 4 ulp of 1.0, of the dump's value.  Every float
+in the dump is a probability, a fidelity, a survival, a phase part or an
+argument, all in [-1, 1] and rounded on the scale of 1, so the bound is
+counted in ulps of 1.0 and not of each value.
 A zero is exact, sign included: a zero matches only the same zero (0.0 or
 -0.0, by its `float.hex()`), and a nonzero value never matches a zero,
 because the reports print 0 and -0 differently and a structural zero (the
@@ -27,10 +28,6 @@ import golden
 
 DUMP = Path(__file__).resolve().parent / "golden" / "outputs.jsonl"
 
-#: how far a float may move from the dump, in ulps of 1.0 (2**-51, ~4.4e-16)
-ULPS = 2
-BOUND = ULPS * math.ulp(1.0)
-
 
 def _mismatches(want, got, path="") -> list[str]:
     """Each place where `got` (plain data) differs from `want` (its encoded dump)."""
@@ -41,7 +38,7 @@ def _mismatches(want, got, path="") -> list[str]:
         if expected == 0.0 or got == 0.0:
             same = want == got.hex()
         else:
-            same = abs(got - expected) <= BOUND
+            same = abs(got - expected) <= golden.BOUND
         return [] if same else [f"{path}: dump {expected!r} ({want}), HEAD {got!r} ({got.hex()})"]
     if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
         return [m for key in got for m in _mismatches(want[key], got[key], f"{path}.{key}")]

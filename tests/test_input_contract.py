@@ -89,7 +89,6 @@ TABLE = (
     ("sample_counts", "probabilities", "weights"),
     ("sample_counts", "shots", "shots"),
     ("sample_counts", "seed", "seed"),
-    ("ModeSpace.contains", "l", "oam"),
     ("ModeSpace.index", "l", "oam"),
     ("ModeSpace.basis_label", "index", "index"),
     ("PhotonState.amplitude", "l", "oam"),
@@ -121,7 +120,6 @@ CALLS = {
     "run": (lambda **kw: run("cnot", **kw), None),
     "sample_counts": (lambda **kw: sample_counts(**{"probabilities": [0.5, 0.5], "shots": 10,
                                                      "seed": 0, **kw}), None),
-    "ModeSpace.contains": (SPACE.contains, None),
     "ModeSpace.index": (lambda **kw: SPACE.index("L", **kw), None),
     "ModeSpace.basis_label": (SPACE.basis_label, None),
     "PhotonState.amplitude": (lambda **kw: PhotonState(SPACE, _AMPLITUDES).amplitude("R", **kw),
@@ -400,8 +398,6 @@ def test_a_basis_label_is_made_of_python_ints():
     assert label == ("L", -3) and type(label[1]) is int
     with pytest.raises(TypeError, match="^index must be an integer, got True$"):
         SPACE.basis_label(True)
-    with pytest.raises(TypeError, match="^l must be an integer, got True$"):
-        SPACE.contains(True)
 
 
 def test_a_non_sequence_names_its_parameter():

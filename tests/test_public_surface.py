@@ -71,7 +71,6 @@ SURFACE = {
     # blocks of shape (1, 2, 2), one for every l, or (2, 2, 2), the second at l = 0
     "ElementOp": ("space", "survival_factor", "label", "input_mask", "source", "blocks"),
     "ModeSpace": ("l_max",),
-    "ModeSpace.contains": ("self", "l"),
     "ModeSpace.index": ("self", "pol", "l"),
     "ModeSpace.basis_label": ("self", "index"),
     "PhotonState": ("space", "amplitudes", "survival"),

@@ -43,7 +43,7 @@ def ref_qplate(space, q):
     for l in range(-space.l_max, space.l_max + 1):
         for pol, image_pol, image_l in ((LEFT, RIGHT, l + shift), (RIGHT, LEFT, l - shift)):
             src = space.index(pol, l)
-            if space.contains(image_l):
+            if abs(image_l) <= space.l_max:
                 matrix[space.index(image_pol, image_l), src] = 1.0
                 mask[src] = True
             else:
